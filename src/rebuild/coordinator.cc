@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "recovery/multi.h"
@@ -234,22 +233,22 @@ bool RebuildCoordinator::dispatch_one(BatchDriver& driver) {
   const std::size_t tier = batch.front().tolerance_left;
   const std::vector<cluster::NodeId>& signature = batch.front().plan_hosts;
 
-  std::unordered_set<cluster::StripeId> want;
   std::vector<cluster::StripeId> stripes;
   std::vector<PublishedChunk> outputs;
   for (const recovery::StripeExposure& entry : batch) {
-    want.insert(entry.stripe);
     stripes.push_back(entry.stripe);
   }
 
   const recovery::MultiFailureScenario scenario =
       recovery::make_multi_failure_onto(placement_, signature, replacement_);
   const auto scan_start = std::chrono::steady_clock::now();
-  std::vector<recovery::MultiStripeCensus> censuses;
-  for (auto& census : recovery::build_multi_censuses(placement_, scenario,
-                                                     options_.scan_shards)) {
-    if (want.contains(census.stripe)) censuses.push_back(std::move(census));
-  }
+  // Census only the batch's own stripes, in ascending stripe order: the
+  // plans (and the RR survivor draws) depend on census order, while
+  // `stripes` keeps queue order for the exposure-window accounting.
+  std::vector<cluster::StripeId> ascending = stripes;
+  std::sort(ascending.begin(), ascending.end());
+  const std::vector<recovery::MultiStripeCensus> censuses =
+      recovery::build_multi_censuses(placement_, scenario, ascending);
   result_.metrics.scan_host_s += host_seconds_since(scan_start);
   CAR_CHECK_STATE(censuses.size() == batch.size(),
                   "rebuild: batch scan census does not cover every queued "

@@ -82,10 +82,11 @@ struct RebuildOptions {
   /// Concurrent in-flight batches on the shared timeline.
   std::size_t max_inflight = 2;
   std::uint64_t seed = 7;
-  /// Worker threads for the metadata scans (exposure census at each epoch,
-  /// per-batch multi-failure census).  Sharded scans are bit-identical to
-  /// serial ones for every count (recovery/exposure.h, recovery/multi.h),
-  /// so this is purely a host-time knob.
+  /// Worker threads for the exposure census at each membership epoch, the
+  /// only whole-layout walk of a run (a batch censuses just its own
+  /// stripes, serially).  Sharded scans are bit-identical to serial ones
+  /// for every count (recovery/exposure.h), so this is purely a host-time
+  /// knob.
   std::size_t scan_shards = 1;
   inject::RetryPolicy retry;
   /// Link/transfer adversity for the driver.  Node crashes are NOT allowed

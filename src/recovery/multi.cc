@@ -79,22 +79,47 @@ void census_range(const cluster::Placement& placement,
   }
 }
 
+/// Bitset lookup: is_failed() is a linear scan over failed_nodes, and the
+/// census asks it once per chunk — at datacenter scale (1M stripes, a full
+/// rack of failed nodes) that linear scan dominates the census.
+std::vector<char> failed_bitset(const cluster::Placement& placement,
+                                const MultiFailureScenario& scenario) {
+  const std::size_t num_nodes = placement.topology().num_nodes();
+  std::vector<char> failed(num_nodes, 0);
+  for (cluster::NodeId node : scenario.failed_nodes) {
+    CAR_CHECK_LT(node, num_nodes,
+                 "build_multi_censuses: failed node id out of range");
+    failed[node] = 1;
+  }
+  return failed;
+}
+
 }  // namespace
+
+std::vector<MultiStripeCensus> build_multi_censuses(
+    const cluster::Placement& placement, const MultiFailureScenario& scenario,
+    std::span<const cluster::StripeId> stripes) {
+  const std::vector<char> failed = failed_bitset(placement, scenario);
+  std::vector<MultiStripeCensus> out;
+  out.reserve(stripes.size());
+  for (std::size_t i = 0; i < stripes.size(); ++i) {
+    CAR_CHECK_LT(stripes[i], placement.num_stripes(),
+                 "build_multi_censuses: stripe id out of range");
+    if (i > 0) {
+      CAR_CHECK_LT(stripes[i - 1], stripes[i],
+                   "build_multi_censuses: stripe ids must be strictly "
+                   "ascending");
+    }
+    census_range(placement, scenario, failed, stripes[i], stripes[i] + 1, out);
+  }
+  return out;
+}
 
 std::vector<MultiStripeCensus> build_multi_censuses(
     const cluster::Placement& placement, const MultiFailureScenario& scenario,
     std::size_t shards) {
   CAR_CHECK(shards >= 1, "build_multi_censuses: shards must be >= 1");
-  const auto& topology = placement.topology();
-  // Bitset lookup: is_failed() is a linear scan over failed_nodes, and this
-  // loop asks it once per chunk — at datacenter scale (1M stripes, a full
-  // rack of failed nodes) that linear scan dominates the census.
-  std::vector<char> failed(topology.num_nodes(), 0);
-  for (cluster::NodeId node : scenario.failed_nodes) {
-    CAR_CHECK_LT(node, topology.num_nodes(),
-                 "build_multi_censuses: failed node id out of range");
-    failed[node] = 1;
-  }
+  const std::vector<char> failed = failed_bitset(placement, scenario);
   const cluster::StripeId n = placement.num_stripes();
   if (shards <= 1 || n < 2) {
     std::vector<MultiStripeCensus> out;

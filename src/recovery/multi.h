@@ -93,6 +93,16 @@ std::vector<MultiStripeCensus> build_multi_censuses(
     const cluster::Placement& placement, const MultiFailureScenario& scenario,
     std::size_t shards = 1);
 
+/// Censuses for the listed stripes only, in list order — the same entries
+/// the full scan yields for those ids, at O(stripes.size()) cost instead of
+/// a walk over the whole layout.  Listed stripes that lost no chunk are
+/// omitted.  Throws util::CheckError unless `stripes` is strictly
+/// ascending and in range, on an out-of-range failed node, and when a
+/// listed stripe lost more than m chunks.
+std::vector<MultiStripeCensus> build_multi_censuses(
+    const cluster::Placement& placement, const MultiFailureScenario& scenario,
+    std::span<const cluster::StripeId> stripes);
+
 /// A materialised per-stripe multi-failure solution.
 struct MultiStripeSolution {
   cluster::StripeId stripe = 0;

@@ -6,7 +6,9 @@
 // generators") — tiny, fast, and statistically solid for simulation use.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -104,12 +106,20 @@ class Rng {
   }
 
   /// Fill a byte buffer with random data (chunk payloads in tests/emulator).
+  /// The bytes are the little-endian serialisation of successive draws on
+  /// every host; a trailing partial word consumes one whole draw.
   void fill_bytes(std::span<std::uint8_t> out) noexcept {
     std::size_t i = 0;
     for (; i + 8 <= out.size(); i += 8) {
       const std::uint64_t v = (*this)();
-      for (std::size_t b = 0; b < 8; ++b) {
-        out[i + b] = static_cast<std::uint8_t>(v >> (8 * b));
+      if constexpr (std::endian::native == std::endian::little) {
+        // One word store instead of eight byte stores: several times the
+        // fill rate, and the bytes are the same.
+        std::memcpy(out.data() + i, &v, sizeof v);
+      } else {
+        for (std::size_t b = 0; b < 8; ++b) {
+          out[i + b] = static_cast<std::uint8_t>(v >> (8 * b));
+        }
       }
     }
     if (i < out.size()) {

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "cluster/configs.h"
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
+#include "util/check.h"
 
 namespace car::recovery {
 namespace {
@@ -86,6 +89,105 @@ TEST(MultiFailure, UnrecoverableStripeThrows) {
                                        hosts.begin() + cfg.m + 1);
   const auto scenario = make_multi_failure(p, victims);
   EXPECT_THROW(build_multi_censuses(p, scenario), std::invalid_argument);
+}
+
+void expect_same_census(const MultiStripeCensus& a,
+                        const MultiStripeCensus& b) {
+  EXPECT_EQ(a.stripe, b.stripe);
+  EXPECT_EQ(a.lost_chunks, b.lost_chunks);
+  EXPECT_EQ(a.replacement_rack, b.replacement_rack);
+  EXPECT_EQ(a.k, b.k);
+  EXPECT_EQ(a.surviving, b.surviving);
+}
+
+TEST(MultiFailure, StripeListCensusMatchesFilteredFullScan) {
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto configs = cluster::paper_configs();
+    const auto& cfg = configs[rng.next_below(configs.size())];
+    const std::size_t stripes = 1 + rng.next_below(80);
+    const auto p = make_placement(cfg, stripes, rng());
+    // At most m failed nodes: no stripe can lose more than m chunks.
+    const auto victims = rng.sample_indices(
+        p.topology().num_nodes(), 1 + rng.next_below(cfg.m));
+    const auto scenario = make_multi_failure_onto(
+        p, std::vector<cluster::NodeId>(victims.begin(), victims.end()),
+        rng.next_below(p.topology().num_nodes()));
+
+    std::vector<std::vector<cluster::StripeId>> subsets;
+    subsets.emplace_back();                        // empty
+    subsets.push_back({rng.next_below(stripes)});  // single
+    subsets.emplace_back(stripes);                 // all
+    std::iota(subsets.back().begin(), subsets.back().end(), 0);
+    for (int i = 0; i < 4; ++i) {
+      const double keep = rng.next_double();
+      std::vector<cluster::StripeId> subset;
+      for (cluster::StripeId s = 0; s < stripes; ++s) {
+        if (rng.next_bool(keep)) subset.push_back(s);
+      }
+      subsets.push_back(std::move(subset));
+    }
+
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      const auto full = build_multi_censuses(p, scenario, shards);
+      for (const auto& subset : subsets) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " shards "
+                                        << shards << " subset size "
+                                        << subset.size());
+        std::vector<MultiStripeCensus> expected;
+        for (const auto& census : full) {
+          if (std::binary_search(subset.begin(), subset.end(),
+                                 census.stripe)) {
+            expected.push_back(census);
+          }
+        }
+        const auto listed = build_multi_censuses(
+            p, scenario, std::span<const cluster::StripeId>(subset));
+        ASSERT_EQ(listed.size(), expected.size());
+        for (std::size_t i = 0; i < listed.size(); ++i) {
+          expect_same_census(listed[i], expected[i]);
+        }
+      }
+    }
+  }
+}
+
+TEST(MultiFailure, StripeListCensusRejectsBadLists) {
+  const auto cfg = cluster::cfs1();  // m = 3
+  const auto p = make_placement(cfg, 10, 4);
+  const auto ok = make_multi_failure(p, {p.node_of(0, 0)});
+  using Ids = std::vector<cluster::StripeId>;
+  const auto census = [&](const MultiFailureScenario& scenario,
+                          const Ids& ids) {
+    return build_multi_censuses(p, scenario,
+                                std::span<const cluster::StripeId>(ids));
+  };
+  EXPECT_NO_THROW(census(ok, Ids{0, 3, 9}));
+  EXPECT_THROW(census(ok, Ids{3, 1}), util::CheckError);   // unsorted
+  EXPECT_THROW(census(ok, Ids{2, 2}), util::CheckError);   // duplicate
+  EXPECT_THROW(census(ok, Ids{0, 10}), util::CheckError);  // out of range
+
+  MultiFailureScenario bad_node = ok;
+  bad_node.failed_nodes.push_back(p.topology().num_nodes());
+  EXPECT_THROW(census(bad_node, Ids{0}), util::CheckError);
+
+  // Stripe 0 loses m + 1 chunks: listing it throws; a list of stripes
+  // that each lost at most m chunks does not.
+  const auto hosts = p.stripe(0);
+  const auto lost = make_multi_failure(
+      p, std::vector<cluster::NodeId>(hosts.begin(),
+                                      hosts.begin() + cfg.m + 1));
+  EXPECT_THROW(census(lost, Ids{0}), util::CheckError);
+  Ids recoverable;
+  for (cluster::StripeId s = 1; s < p.num_stripes(); ++s) {
+    const auto stripe_hosts = p.stripe(s);
+    const auto count = std::count_if(
+        stripe_hosts.begin(), stripe_hosts.end(),
+        [&](cluster::NodeId node) { return lost.is_failed(node); });
+    if (static_cast<std::size_t>(count) <= cfg.m) recoverable.push_back(s);
+  }
+  ASSERT_FALSE(recoverable.empty());
+  EXPECT_NO_THROW(census(lost, recoverable));
 }
 
 class MultiFailureSweep

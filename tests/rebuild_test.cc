@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/failure.h"
@@ -103,6 +108,127 @@ TEST(RebuildQueue, PopBatchHonoursMaxStripes) {
   EXPECT_EQ(queue.pop_batch(2).size(), 2u);
   EXPECT_EQ(queue.pop_batch(2).size(), 1u);
   EXPECT_TRUE(queue.pop_batch(2).empty());
+}
+
+TEST(RebuildQueue, PopBatchRejectsZeroMaxStripes) {
+  RebuildQueue queue;
+  EXPECT_THROW(queue.pop_batch(0), util::CheckError);
+  queue.reset({entry(1, 0, 2, {0}, {3})});
+  EXPECT_THROW(queue.pop_batch(0), util::CheckError);
+  EXPECT_EQ(queue.size(), 1u);
+}
+
+/// Oracle: the original linear pop — sort the census once, then every pop
+/// walks the whole remaining queue, taking up to max_stripes entries that
+/// share the head's signature and keeping the rest in order.
+class LinearRebuildQueue {
+ public:
+  void reset(std::vector<recovery::StripeExposure> census) {
+    std::sort(census.begin(), census.end(),
+              [](const recovery::StripeExposure& a,
+                 const recovery::StripeExposure& b) {
+                return std::tuple(a.tolerance_left, a.cross_rack_cost(),
+                                  a.stripe) <
+                       std::tuple(b.tolerance_left, b.cross_rack_cost(),
+                                  b.stripe);
+              });
+    entries_ = std::move(census);
+  }
+
+  std::vector<recovery::StripeExposure> pop_batch(std::size_t max_stripes) {
+    std::vector<recovery::StripeExposure> batch;
+    if (entries_.empty()) return batch;
+    const std::vector<cluster::NodeId> signature = entries_.front().plan_hosts;
+    std::vector<recovery::StripeExposure> keep;
+    for (auto& e : entries_) {
+      if (batch.size() < max_stripes && e.plan_hosts == signature) {
+        batch.push_back(std::move(e));
+      } else {
+        keep.push_back(std::move(e));
+      }
+    }
+    entries_ = std::move(keep);
+    return batch;
+  }
+
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+ private:
+  std::vector<recovery::StripeExposure> entries_;
+};
+
+/// A census over distinct stripes whose entries draw their signature from
+/// `signatures`, with random tiers and costs (so ties on tier and cost are
+/// common and the stripe id decides).
+std::vector<recovery::StripeExposure> random_census(
+    util::Rng& rng,
+    const std::vector<std::vector<cluster::NodeId>>& signatures) {
+  const std::size_t count = rng.next_below(200);
+  const auto stripes = rng.sample_indices(1000, count);
+  std::vector<recovery::StripeExposure> census;
+  for (const std::size_t stripe : stripes) {
+    const auto& hosts = signatures[rng.next_below(signatures.size())];
+    std::vector<std::size_t> chunks(hosts.size());
+    std::iota(chunks.begin(), chunks.end(), std::size_t{0});
+    census.push_back(entry(stripe, rng.next_below(3), 1 + rng.next_below(3),
+                           std::move(chunks), hosts));
+  }
+  return census;
+}
+
+void expect_same_batch(const std::vector<recovery::StripeExposure>& got,
+                       const std::vector<recovery::StripeExposure>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].stripe, want[i].stripe);
+    EXPECT_EQ(got[i].tolerance_left, want[i].tolerance_left);
+    EXPECT_EQ(got[i].min_racks, want[i].min_racks);
+    EXPECT_EQ(got[i].plan_chunks, want[i].plan_chunks);
+    EXPECT_EQ(got[i].plan_hosts, want[i].plan_hosts);
+    EXPECT_EQ(got[i].exposed_chunks, want[i].exposed_chunks);
+  }
+}
+
+TEST(RebuildQueue, MatchesLinearPopOracle) {
+  util::Rng rng(99);
+  // 24 distinct signatures of one to three hosts out of 16 nodes.
+  std::set<std::vector<cluster::NodeId>> distinct;
+  while (distinct.size() < 24) {
+    auto hosts = rng.sample_indices(16, 1 + rng.next_below(3));
+    std::sort(hosts.begin(), hosts.end());
+    distinct.emplace(hosts.begin(), hosts.end());
+  }
+  const std::vector<std::vector<cluster::NodeId>> signatures(distinct.begin(),
+                                                             distinct.end());
+  const std::size_t widths[] = {1, 3, 16};
+  for (int round = 0; round < 40; ++round) {
+    RebuildQueue queue;
+    LinearRebuildQueue oracle;
+    auto census = random_census(rng, signatures);
+    queue.reset(census);
+    oracle.reset(std::move(census));
+    std::size_t resets = 0;
+    while (true) {
+      SCOPED_TRACE(testing::Message() << "round " << round << " resets "
+                                      << resets);
+      ASSERT_EQ(queue.size(), oracle.size());
+      ASSERT_EQ(queue.empty(), oracle.size() == 0);
+      // Re-scan mid-drain now and then, as a membership change does.
+      if (resets < 3 && rng.next_bool(0.05)) {
+        census = random_census(rng, signatures);
+        queue.reset(census);
+        oracle.reset(std::move(census));
+        ++resets;
+        continue;
+      }
+      const std::size_t width = widths[rng.next_below(3)];
+      const auto got = queue.pop_batch(width);
+      const auto want = oracle.pop_batch(width);
+      expect_same_batch(got, want);
+      if (want.empty()) break;
+    }
+    EXPECT_TRUE(queue.empty());
+  }
 }
 
 TEST(ExposureCensus, ClassifiesAffectedStripesAgainstFailedSet) {

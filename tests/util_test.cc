@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -75,6 +78,77 @@ TEST(Rng, FillBytesCoversOddSizes) {
     // Not a randomness test — just exercise the tail path.
     EXPECT_EQ(buf.size(), n);
   }
+}
+
+// Known answers for fill_bytes: the FNV-1a-64 hash of the filled bytes
+// and the draw that follows, per (seed, length).  The draw pins how many
+// engine outputs a fill consumes (one per started 8-byte word), so any
+// faster fill must keep both the byte stream and the stream position.
+struct FillBytesAnswer {
+  std::uint64_t seed;
+  std::size_t length;
+  std::uint64_t fnv1a64;
+  std::uint64_t next_draw;
+};
+
+constexpr FillBytesAnswer kFillBytesAnswers[] = {
+    {0ULL, 0, 0xcbf29ce484222325ULL, 0xe220a8397b1dcdafULL},
+    {0ULL, 1, 0xaf64224c8602637eULL, 0x6e789e6aa1b965f4ULL},
+    {0ULL, 7, 0x433bb84cd79239dcULL, 0x6e789e6aa1b965f4ULL},
+    {0ULL, 8, 0xd0b368924d77445aULL, 0x6e789e6aa1b965f4ULL},
+    {0ULL, 9, 0x181f5e99a1a9b3aaULL, 0x06c45d188009454fULL},
+    {0ULL, 31, 0xa0961e711a001a5dULL, 0x1b39896a51a8749bULL},
+    {0ULL, 4096, 0xb2eb6d1cbe2689f9ULL, 0x83fcc71fa8833aa3ULL},
+    {0x1ULL, 0, 0xcbf29ce484222325ULL, 0x910a2dec89025cc1ULL},
+    {0x1ULL, 1, 0xaf647c4c8602fc6cULL, 0xbeeb8da1658eec67ULL},
+    {0x1ULL, 7, 0xb50d5525f22a8c90ULL, 0xbeeb8da1658eec67ULL},
+    {0x1ULL, 8, 0xd033b07a7e4be5b3ULL, 0xbeeb8da1658eec67ULL},
+    {0x1ULL, 9, 0x13bab4249af7873cULL, 0xf893a2eefb32555eULL},
+    {0x1ULL, 31, 0x827b5ef70a0690b0ULL, 0x71bb54d8d101b5b9ULL},
+    {0x1ULL, 4096, 0xd09effa23070fc72ULL, 0x0703862611b8b8b3ULL},
+    {0x2aULL, 0, 0xcbf29ce484222325ULL, 0xbdd732262feb6e95ULL},
+    {0x2aULL, 1, 0xaf64484c8602a410ULL, 0x28efe333b266f103ULL},
+    {0x2aULL, 7, 0xae717f17026ee6b1ULL, 0x28efe333b266f103ULL},
+    {0x2aULL, 8, 0xd9c100192270e664ULL, 0x28efe333b266f103ULL},
+    {0x2aULL, 9, 0x73d991b585d78105ULL, 0x47526757130f9f52ULL},
+    {0x2aULL, 31, 0xd44a1a9b91cf3234ULL, 0x09bc585a244823f2ULL},
+    {0x2aULL, 4096, 0x78b1697b52f2efbbULL, 0xca695c3329df9a80ULL},
+    {0x9e3779b97f4a7c15ULL, 0, 0xcbf29ce484222325ULL, 0x6e789e6aa1b965f4ULL},
+    {0x9e3779b97f4a7c15ULL, 1, 0xaf64694c8602dc23ULL, 0x06c45d188009454fULL},
+    {0x9e3779b97f4a7c15ULL, 7, 0x64404658d39225b8ULL, 0x06c45d188009454fULL},
+    {0x9e3779b97f4a7c15ULL, 8, 0xeb5d5eef81564aa2ULL, 0x06c45d188009454fULL},
+    {0x9e3779b97f4a7c15ULL, 9, 0x45f33df8c5a150b7ULL, 0xf88bb8a8724c81ecULL},
+    {0x9e3779b97f4a7c15ULL, 31, 0x6d3d7e6c44385988ULL, 0x53cb9f0c747ea2eaULL},
+    {0x9e3779b97f4a7c15ULL, 4096, 0xeb89e4523bac5b4bULL, 0x327eee6ec9598964ULL},
+};
+
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(Rng, FillBytesMatchesKnownAnswers) {
+  for (const FillBytesAnswer& answer : kFillBytesAnswers) {
+    Rng rng(answer.seed);
+    std::vector<std::uint8_t> buf(answer.length, 0xAA);
+    rng.fill_bytes(buf);
+    EXPECT_EQ(fnv1a64(buf), answer.fnv1a64)
+        << "seed " << answer.seed << " length " << answer.length;
+    EXPECT_EQ(rng(), answer.next_draw)
+        << "seed " << answer.seed << " length " << answer.length;
+  }
+  // Bytes are the little-endian serialisation of successive draws, on
+  // every host: one whole word and the low byte of the next.
+  Rng rng(1);
+  std::vector<std::uint8_t> buf(9);
+  rng.fill_bytes(buf);
+  const std::vector<std::uint8_t> expected = {0xc1, 0x5c, 0x02, 0x89, 0xec,
+                                              0x2d, 0x0a, 0x91, 0x67};
+  EXPECT_EQ(buf, expected);
 }
 
 TEST(Rng, NextDoubleInUnitInterval) {

@@ -22,11 +22,13 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cluster/configs.h"
 #include "emul/cluster.h"
+#include "heap_replay.h"
 #include "rebuild/scenario.h"
 #include "recovery/balancer.h"
 #include "recovery/multi.h"
@@ -201,34 +203,39 @@ struct ScaleSweepRow {
   std::uint64_t cross_rack_bytes = 0;
   std::size_t verified_outputs = 0;
   std::size_t expected_outputs = 0;
-  // Host-time phase breakdown (noisy; CI checks only the plan_speedup
-  // ratio, which divides out the machine).  classic_* is the chunk-granular
-  // RecoveryPlan build + PlanArena lowering the scale path used to run;
-  // arena_s is the template-cached instantiation that replaces both.
+  // Host-time phase breakdown (noisy; CI checks only the plan_speedup and
+  // replay_speedup ratios, which divide out the machine).  classic_* is
+  // the chunk-granular RecoveryPlan build + PlanArena lowering the scale
+  // path used to run; arena_s is the template-cached instantiation that
+  // replaces both.
   double scan_s = 0.0;
   double solve_s = 0.0;  // rack selection + balancing (shared by both paths)
   double classic_plan_s = 0.0;
   double classic_lower_s = 0.0;
   double arena_s = 0.0;
-  // Replay phase, new default configuration: calendar-queue engine with a
-  // serial drain (replay_shards 1).
+  // Replay phase: execute_arena with no sampled stripes — byte
+  // accounting, then the timing replay drained from one calendar queue on
+  // the calling thread.  Minimum over repetitions.
   double replay_s = 0.0;
-  // Replay phase, predecessor configuration: binary-heap engine with the
-  // replay sharded `shards` ways (what this sweep ran before the calendar
-  // engine landed), on an identically prepared cluster in the same
-  // process.
-  double replay_heap_s = 0.0;
+  // The same replay over a std::priority_queue (the heap oracle in
+  // tests/support/heap_replay.h: same accounting, same per-event work),
+  // timed the same way in the same process.
+  double replay_heap1_s = 0.0;
+  // Order-sensitive digest of the replay's committed events.  Every
+  // calendar and oracle run must reproduce it (checked); the baseline
+  // pins it.
+  std::uint64_t replay_digest = 0;
   double end_to_end_s = 0.0;  // scan + solve + cached build + replay
   std::size_t template_cache_misses = 0;
 
   [[nodiscard]] double plan_speedup() const {
     return arena_s > 0.0 ? (classic_plan_s + classic_lower_s) / arena_s : 0.0;
   }
-  /// Predecessor replay over current replay — the whole replay-path win,
-  /// engine and drain configuration together.  A within-run host-time
-  /// ratio, so machine speed divides out (like plan_speedup).
+  /// Heap-oracle replay over production replay: what the calendar queue
+  /// buys over the best simple alternative.  A within-run host-time ratio,
+  /// so machine speed divides out (like plan_speedup).
   [[nodiscard]] double replay_speedup() const {
-    return replay_s > 0.0 ? replay_heap_s / replay_s : 0.0;
+    return replay_s > 0.0 ? replay_heap1_s / replay_s : 0.0;
   }
 };
 
@@ -327,36 +334,47 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
                                                   kSeed, sampled);
   for (const auto node : mf.failed_nodes) cluster.erase_node(node);
 
+  // The sampled run: its virtual-clock numbers are the row's, and the
+  // sampled stripes' recovered bytes are verified below.
   emul::ArenaExecOptions options;
   options.shards = row.shards;
-  // Serial replay drain: the safe window admits one drainer at a time, so
-  // replay_shards == 1 is the fast configuration.  Sharded replay is the
-  // bit-identity verification mode (tests/replay_engine_test.cc and the CI
-  // scale smoke cover it).
-  options.replay_shards = 1;
   options.metadata_only = true;
   options.sampled_stripes = sampled;
-
-  // Predecessor-configuration reference replay (binary heap, replay
-  // sharded `shards` ways) on an identically prepared cluster; the in-run
-  // ratio over the calendar run below is what replay_speedup() reports.
-  {
-    emul::Cluster heap_cluster(cfg.topology(), fig9_emul(1.0));
-    (void)heap_cluster.populate_sampled(placement, code, kChunk, kSeed,
-                                        sampled);
-    for (const auto node : mf.failed_nodes) heap_cluster.erase_node(node);
-    auto heap_options = options;
-    heap_options.replay_engine = emul::ReplayEngine::kHeap;
-    heap_options.replay_shards = row.shards;
-    t = tick();
-    (void)heap_cluster.execute_arena(arena, heap_options);
-    row.replay_heap_s = secs(t, tick());
-  }
-
-  options.replay_engine = emul::ReplayEngine::kCalendar;
-  t = tick();
   const auto report = cluster.execute_arena(arena, options);
-  row.replay_s = secs(t, tick());
+  row.replay_digest = report.replay_digest;
+
+  // Replay timing: the production replay against the heap oracle, each on
+  // a fresh cluster (link reservations are stateful).  No stripe is
+  // sampled, so the production payload pass is byte accounting only —
+  // the work the oracle does besides its queue — and the in-run ratio
+  // replay_speedup() isolates the queue.  Alternating repetitions, minimum
+  // of each, damp host noise; every run must commit the sampled run's
+  // exact event sequence.
+  options.sampled_stripes.clear();
+  row.replay_s = std::numeric_limits<double>::infinity();
+  row.replay_heap1_s = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    std::uint64_t oracle_digest = 0;
+    std::uint64_t calendar_digest = 0;
+    {
+      emul::Cluster fresh(cfg.topology(), fig9_emul(1.0));
+      t = tick();
+      oracle_digest = oracle::heap_replay(fresh, arena).replay_digest;
+      row.replay_heap1_s = std::min(row.replay_heap1_s, secs(t, tick()));
+    }
+    {
+      emul::Cluster fresh(cfg.topology(), fig9_emul(1.0));
+      t = tick();
+      calendar_digest = fresh.execute_arena(arena, options).replay_digest;
+      row.replay_s = std::min(row.replay_s, secs(t, tick()));
+    }
+    if (oracle_digest != row.replay_digest ||
+        calendar_digest != row.replay_digest) {
+      throw std::runtime_error(
+          "micro_recovery: replay runs committed different event sequences "
+          "(calendar vs heap oracle, or sampled vs unsampled)");
+    }
+  }
   row.end_to_end_s = row.scan_s + row.solve_s + row.arena_s + row.replay_s;
 
   row.affected_stripes = censuses.size();
@@ -649,6 +667,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string hex64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
 void write_json(const std::string& path, const std::vector<Fig9Point>& points,
                 const std::vector<ScaleSweepRow>& sweep,
                 const std::vector<RebuildRow>& rebuild_rows,
@@ -696,8 +721,9 @@ void write_json(const std::string& path, const std::vector<Fig9Point>& points,
        << ", \"classic_plan_s\": " << r.classic_plan_s
        << ", \"classic_lower_s\": " << r.classic_lower_s
        << ", \"arena_s\": " << r.arena_s << ", \"replay_s\": " << r.replay_s
-       << ", \"replay_heap_s\": " << r.replay_heap_s
+       << ", \"replay_heap1_s\": " << r.replay_heap1_s
        << ", \"replay_speedup\": " << r.replay_speedup()
+       << ", \"replay_digest\": \"" << hex64(r.replay_digest) << "\""
        << ", \"end_to_end_s\": " << r.end_to_end_s
        << ", \"plan_speedup\": " << r.plan_speedup()
        << ", \"template_cache_misses\": " << r.template_cache_misses << "}"

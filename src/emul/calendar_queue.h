@@ -39,14 +39,15 @@
 // Monotone insertion does NOT imply inserts land inside the active rung: a
 // rewindow driven by a lone far-future event raises rung_start past the
 // drain frontier, and a later push may legally fall in that gap (the
-// rebuild control plane admits batches at the paused `now`, and streamed
-// replay shards ingest t_start seeds after running ahead of the feed).
+// rebuild control plane admits batches at the paused `now`, and the
+// streamed arena replay ingests t_start seeds after draining ahead of the
+// feed).
 // Such sub-rung times clamp to bucket 0, which push() merges into the live
 // drain heap, so they still pop before everything in the rung.
 //
-// Not thread-safe: each replay shard owns one queue (see the epoch-based
-// safe-window protocol in emul/cluster.cc); the sequential engines in
-// inject/runtime.cc and rebuild/driver.cc own theirs outright.
+// Not thread-safe: the arena timing replay in emul/cluster.cc and the
+// sequential engines in inject/runtime.cc and rebuild/driver.cc each own
+// theirs outright.
 #pragma once
 
 #include <cstddef>

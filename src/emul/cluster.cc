@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <exception>
-#include <limits>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -68,50 +64,8 @@ std::uint64_t key_of(const BufferRef& ref) {
              : step_key(ref.step_id);
 }
 
-// ---- Phase-2 replay machinery ------------------------------------------
-//
-// Both replay engines pop events in the identical global (time, id) order;
-// these adapters let one generic event handler drive either queue type.
-
-using ReplayEntry = std::pair<double, std::uint64_t>;
-using ReplayHeap =
-    std::priority_queue<ReplayEntry, std::vector<ReplayEntry>, std::greater<>>;
-
-inline void replay_push(ReplayHeap& queue, double time, std::uint64_t id) {
-  queue.emplace(time, id);
-}
-inline void replay_push(CalendarQueue& queue, double time, std::uint64_t id) {
-  queue.push(time, id);
-}
-
-// Event keys for the lock-free safe window, as two orderable 64-bit words:
-// a non-negative IEEE-754 double's bit pattern, read as an unsigned
-// integer, orders exactly like the double (+inf included), so the time
-// component of a (time, id) key fits one atomic word.  Event times here are
-// always non-negative — the virtual clock starts at 0 and link
-// reservations never regress (execute_arena_impl CHECKs the start).
-inline std::uint64_t time_bits(double time) noexcept {
-  return std::bit_cast<std::uint64_t>(time);
-}
-constexpr std::uint64_t kInfTimeBits =
-    std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());
-constexpr std::uint64_t kDoneId = std::numeric_limits<std::uint64_t>::max();
-
-inline bool key_less(std::uint64_t t1, std::uint64_t i1, std::uint64_t t2,
-                     std::uint64_t i2) noexcept {
-  return t1 < t2 || (t1 == t2 && i1 < i2);
-}
-
-/// One replay shard's published frontier (see the protocol comment at
-/// run_calendar_replay in execute_arena_impl).  Padded to a cache line so
-/// peers polling one shard's slot never false-share another's.
-struct alignas(64) ReplayTopSlot {
-  std::atomic<std::uint64_t> time{0};
-  std::atomic<std::uint64_t> id{0};
-};
-
 /// One spin-wait step: pause hints while the wait is young, then yield so a
-/// stalled peer (oversubscribed machine) can run.
+/// stalled producer (oversubscribed machine) can run.
 inline void relax_cpu(std::size_t idle) noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   if (idle < 64) {
@@ -721,12 +675,6 @@ ExecutionReport Cluster::execute_arena(const recovery::PlanArena& plan,
 ExecutionReport Cluster::execute_arena_streaming(
     const recovery::PlanArena& plan, const ArenaExecOptions& options,
     ArenaStreamFeed& feed) {
-  // Streaming interleaves with the producer through the watermark; the heap
-  // engine is kept as the barrier-mode reference implementation and gains
-  // nothing from overlap, so it is not wired up here.
-  CAR_CHECK(options.replay_engine == ReplayEngine::kCalendar,
-            "Cluster::execute_arena_streaming: streaming requires the "
-            "calendar replay engine");
   return execute_arena_impl(plan, options, &feed);
 }
 
@@ -739,8 +687,9 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   impl_->clock.require_virtual("Cluster::execute_arena");
   CAR_CHECK(options.shards >= 1,
             "Cluster::execute_arena: shards must be >= 1");
-  CAR_CHECK(options.replay_shards >= 1,
-            "Cluster::execute_arena: replay_shards must be >= 1");
+  CAR_CHECK(options.replay_shards == 1,
+            "Cluster::execute_arena: replay_shards must be 1 (the timing "
+            "replay has one consumer)");
   const bool streaming = feed != nullptr;
 
   const std::uint64_t n_base = plan.num_base_steps();
@@ -752,10 +701,6 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
               "Cluster::execute_arena: sharded execution requires a "
               "stripe-closed plan (windowed schedules add cross-stripe deps; "
               "run them with shards == 1)");
-    CAR_CHECK(options.replay_shards == 1 || plan.stripe_closed(),
-              "Cluster::execute_arena: sharded replay requires a "
-              "stripe-closed plan (windowed schedules add cross-stripe deps; "
-              "run them with replay_shards == 1)");
   }
   // Streaming defers the closure CHECK until the producer finishes: the
   // flag itself is being written during appends.  The producer contract —
@@ -799,12 +744,6 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   const std::uint64_t epoch_at_start =
       impl_->drop_epoch.load(std::memory_order_acquire);
   const double t_start = clock.now();
-  // The lock-free replay window compares event times as IEEE-754 bit
-  // patterns (see time_bits), which is order-preserving only for
-  // non-negative times.  Always true — the virtual clock starts at 0 and
-  // never runs backwards — but the invariant is load-bearing, so CHECK it.
-  CAR_CHECK_STATE(t_start >= 0.0,
-                  "Cluster::execute_arena: negative virtual clock");
 
   // Phase 1 — payload movement and byte accounting, sharded by stripe.
   // Each shard walks the arena in id order; forward deps plus stripe
@@ -952,32 +891,43 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
 
   // Phase 2 — deterministic timing replay over the sliced id grid: the
   // identical (start time, id) min-queue walk execute() runs, driven from
-  // the columns instead of materialised steps.
+  // the columns instead of materialised steps, on one calendar queue that
+  // the calling thread drains.
   //
   // The pop stream is lexicographically monotone in (time, id): every
-  // dependent inserted while processing event (t, id) has start >= finish
+  // dependent pushed while processing event (t, id) has start >= finish
   // >= t and — forward deps — a strictly larger base step, hence a larger
-  // sliced id at the same slice.  (That monotonicity is also what lets the
-  // calendar queue below run at O(1) amortised per event.)  With a
-  // stripe-closed plan the stream further decomposes into independent
-  // per-stripe (and so per-shard) monotone streams, which is what lets
-  // replay_shards > 1 reproduce the sequential walk exactly: each shard
-  // drains its own queue only while its head is the global lexicographic
-  // minimum of all shard heads (the owner-advances safe window), so
-  // stateful link reservations and floating-point accumulation commit in
-  // the global merge order.
+  // sliced id at the same slice.  That monotonicity is what lets the
+  // calendar queue run at O(1) amortised per event, and the drain-frontier
+  // CHECK below enforces it.
+  //
+  // Barrier mode ingests every row up front and drains to empty.
+  // Streaming ingests rows as the producer publishes them and drains only
+  // below the watermark (t_start, published * num_slices): rows publish in
+  // base-id order and no event starts before t_start, so every event of a
+  // row not yet published sorts at or after it.  Once the feed closes the
+  // watermark lifts and the drain runs to empty, committing exactly the
+  // barrier mode's event sequence.
   const std::uint64_t n_sliced = plan.num_sliced_steps();
   std::vector<std::uint32_t> pending(n_sliced, 0);
-  if (!streaming) {
-    for (std::uint64_t base = 0; base < n_base; ++base) {
-      const auto degree = static_cast<std::uint32_t>(plan.deps(base).size());
-      for (std::uint64_t s = 0; s < num_slices; ++s) {
-        pending[plan.sliced_id(base, s)] = degree;
-      }
-    }
-  }
   std::vector<double> start_at(n_sliced, t_start);
   double end = t_start;
+  CalendarQueue ready(static_cast<std::size_t>(n_sliced));
+
+  // Seed the pending counters of rows [ingested, rows) and queue their
+  // zero-indegree events, in sliced id order.
+  std::uint64_t ingested = 0;
+  auto ingest = [&](std::uint64_t rows) {
+    for (; ingested < rows; ++ingested) {
+      const auto degree =
+          static_cast<std::uint32_t>(plan.deps(ingested).size());
+      for (std::uint64_t s = 0; s < num_slices; ++s) {
+        const std::uint64_t sid = plan.sliced_id(ingested, s);
+        pending[sid] = degree;
+        if (degree == 0) ready.push(t_start, sid);
+      }
+    }
+  };
 
   // Commit one transfer's link reservations.  Resolves the hop list on the
   // stack (the same links Cluster::path returns, without the per-event
@@ -1011,9 +961,9 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
     return finish;
   };
 
-  // Process one popped event; dependents (same stripe by closure, so the
-  // caller's own queue under sharded replay) are pushed onto `queue`.
-  auto process_event = [&](double at, std::uint64_t id, auto& queue) {
+  // Commit one popped event, release its dependents, and return its finish
+  // time.
+  auto process_event = [&](double at, std::uint64_t id) -> double {
     const std::uint64_t base = id / num_slices;
     const std::uint64_t slice = id % num_slices;
     double finish = at;
@@ -1034,276 +984,64 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
     for (const std::uint64_t dep_base : plan.dependents(base)) {
       const std::uint64_t did = plan.sliced_id(dep_base, slice);
       start_at[did] = std::max(start_at[did], finish);
-      if (--pending[did] == 0) replay_push(queue, start_at[did], did);
+      if (--pending[did] == 0) ready.push(start_at[did], did);
     }
+    return finish;
   };
 
-  const std::size_t rshards = options.replay_shards;
-
-  // Lock-free owner-advances window over per-shard calendar queues.  Each
-  // shard owns one cache-line slot holding its published frontier — the
-  // (time, id) key of its next event, as two atomic words — and drains its
-  // queue only while its head is strictly below the minimum of every other
-  // slot (and the stream cap), which serialises the stateful work in
-  // exactly the global (time, id) order.  The slots replace the heap
-  // engine's global mutex + condvar handoffs, whose wakeup latency
-  // dominated sharded replay.
-  //
-  // Publication protocol: the owner stores id then time, both release; a
-  // peer loads time then id, both acquire.  Because time is written last
-  // and read first, a torn read can only pair an older time with a
-  // same-or-newer id, and since a shard's frontier only ever increases,
-  // such a pair never exceeds the owner's latest published key — every
-  // bound a peer derives is conservative.  Visibility rides the same pair:
-  // whichever publish the id load observed release-precedes it, so all
-  // link reservations and accumulator writes the owner committed below
-  // that key happen-before the peer's subsequent drain.  Draining is
-  // mutually exclusive without a lock: were shards A and B draining
-  // concurrently, A.top < (B's slot) <= B.top and B.top < (A's slot)
-  // <= A.top — a contradiction (slots trail their owners' monotone tops).
-  auto run_calendar_replay = [&](std::vector<CalendarQueue>& queues) {
-    const std::size_t nq = queues.size();
-    const std::uint64_t t0_bits = time_bits(t_start);
-    std::vector<ReplayTopSlot> slots(nq);
-    for (auto& slot : slots) {
-      // (t_start, 0) lower-bounds every event, so no shard can overtake a
-      // peer whose real frontier has not been published yet.
-      slot.time.store(t0_bits, std::memory_order_relaxed);
-      slot.id.store(0, std::memory_order_relaxed);
-    }
-    auto worker = [&](std::size_t shard) {
-      CalendarQueue& queue = queues[shard];
-      ReplayTopSlot& slot = slots[shard];
-      std::uint64_t published_t = t0_bits;
-      std::uint64_t published_i = 0;
-      auto publish = [&](std::uint64_t tb, std::uint64_t ib) {
-        if (tb == published_t && ib == published_i) return;
-        slot.id.store(ib, std::memory_order_release);
-        slot.time.store(tb, std::memory_order_release);
-        published_t = tb;
-        published_i = ib;
-      };
-      std::uint64_t ingested = 0;
-      std::size_t idle = 0;
-      // Drain-frontier watchdog: the shard's pop stream must be monotone in
-      // (time, id) — the safe window, the slot publication protocol, and
-      // the stateful commit order all assume it.  A queue that ever
-      // surfaces an event behind the frontier (e.g. by misrouting a
-      // sub-rung insert) would silently corrupt the replay, so fail fast.
-      std::uint64_t drained_t = t0_bits;
-      std::uint64_t drained_i = 0;
-      try {
-        for (;;) {
-          if (failed.load(std::memory_order_acquire)) break;
-          // Streaming: adopt newly published stripes (seed their pending
-          // counters and zero-indegree events), then cap the window at the
-          // watermark — every event of a not-yet-published row sorts at or
-          // after (t_start, published * num_slices) because rows publish in
-          // base-id order.
-          std::uint64_t cap_t = kInfTimeBits;
-          std::uint64_t cap_i = kDoneId;
-          if (streaming) {
-            std::uint64_t progress = feed->published();
-            const bool finished = feed->closed();
-            if (finished) progress = feed->published();
-            CAR_CHECK_STATE(!finished || progress >= n_base,
-                            "Cluster::execute_arena_streaming: producer "
-                            "closed before publishing every base step");
-            for (std::uint64_t base = ingested; base < progress; ++base) {
-              if (static_cast<std::uint64_t>(plan.stripe(base)) % nq !=
-                  shard) {
-                continue;
-              }
-              const auto degree =
-                  static_cast<std::uint32_t>(plan.deps(base).size());
-              for (std::uint64_t s = 0; s < num_slices; ++s) {
-                const std::uint64_t sid = plan.sliced_id(base, s);
-                pending[sid] = degree;
-                if (degree == 0) queue.push(t_start, sid);
-              }
-            }
-            ingested = progress;
-            if (!finished) {
-              cap_t = t0_bits;
-              cap_i = progress * num_slices;
-            }
-          }
-          // Publish this shard's frontier: own head, capped by the stream
-          // watermark (events of unpublished rows may land in any shard).
-          std::uint64_t my_t = cap_t;
-          std::uint64_t my_i = cap_i;
-          if (!queue.empty()) {
-            const CalendarQueue::Entry& head = queue.top();
-            const std::uint64_t head_t = time_bits(head.time);
-            if (key_less(head_t, head.key, my_t, my_i)) {
-              my_t = head_t;
-              my_i = head.key;
-            }
-          }
-          publish(my_t, my_i);
-          if (queue.empty() && cap_t == kInfTimeBits) break;
-          // Safe window: strictly below every peer's published frontier
-          // and below the stream cap.
-          std::uint64_t bound_t = cap_t;
-          std::uint64_t bound_i = cap_i;
-          for (std::size_t other = 0; other < nq; ++other) {
-            if (other == shard) continue;
-            const std::uint64_t other_t =
-                slots[other].time.load(std::memory_order_acquire);
-            const std::uint64_t other_i =
-                slots[other].id.load(std::memory_order_acquire);
-            if (key_less(other_t, other_i, bound_t, bound_i)) {
-              bound_t = other_t;
-              bound_i = other_i;
-            }
-          }
-          bool drained = false;
-          while (!queue.empty()) {
-            const CalendarQueue::Entry& head = queue.top();
-            if (!key_less(time_bits(head.time), head.key, bound_t,
-                          bound_i)) {
-              break;
-            }
-            const CalendarQueue::Entry event = queue.pop();
-            const std::uint64_t event_t = time_bits(event.time);
-            CAR_CHECK_STATE(
-                !key_less(event_t, event.key, drained_t, drained_i),
-                "Cluster::execute_arena: calendar replay shard popped an "
-                "event behind its drain frontier");
-            drained_t = event_t;
-            drained_i = event.key;
-            process_event(event.time, event.key, queue);
-            drained = true;
-          }
-          if (drained) {
-            idle = 0;
-          } else {
-            relax_cpu(idle++);
-          }
-        }
-      } catch (...) {
-        record_failure();
+  auto replay = [&] {
+    // Drain-frontier watchdog: a queue that ever surfaced an event behind
+    // the last one committed (e.g. by misrouting a sub-rung insert) would
+    // silently corrupt the timeline, so fail fast.
+    CalendarQueue::Entry frontier{t_start, 0};
+    std::size_t idle = 0;
+    if (!streaming) ingest(n_base);
+    for (;;) {
+      bool capped = false;
+      CalendarQueue::Entry watermark;
+      if (streaming) {
+        if (failed.load(std::memory_order_acquire)) return;
+        std::uint64_t progress = feed->published();
+        const bool finished = feed->closed();
+        if (finished) progress = feed->published();
+        CAR_CHECK_STATE(!finished || progress >= n_base,
+                        "Cluster::execute_arena_streaming: producer closed "
+                        "before publishing every base step");
+        ingest(progress);
+        capped = !finished;
+        watermark = {t_start, progress * num_slices};
       }
-      // Terminal sentinel — also on error, so peers never stall on a dead
-      // shard.
-      slot.id.store(kDoneId, std::memory_order_release);
-      slot.time.store(kInfTimeBits, std::memory_order_release);
-    };
-    std::vector<std::thread> replay_workers;
-    replay_workers.reserve(nq);
-    for (std::size_t shard = 0; shard < nq; ++shard) {
-      replay_workers.emplace_back(worker, shard);
-    }
-    for (auto& thread : replay_workers) thread.join();
-  };
-
-  if (options.replay_engine == ReplayEngine::kHeap) {
-    // The PR-9 reference engine, kept verbatim: one global binary heap, or
-    // per-shard heaps merged under a mutex/condvar owner-advances window.
-    // The differential tests and the CI scale-smoke diff compare the
-    // calendar engine's output against this path bit for bit.
-    using Entry = ReplayEntry;
-    using Heap = ReplayHeap;
-    if (rshards == 1) {
-      Heap ready;
-      for (std::uint64_t id = 0; id < n_sliced; ++id) {
-        if (pending[id] == 0) ready.emplace(t_start, id);
-      }
+      bool drained = false;
       while (!ready.empty()) {
-        const auto [at, id] = ready.top();
-        ready.pop();
-        process_event(at, id, ready);
+        if (capped && !(ready.top() < watermark)) break;
+        const CalendarQueue::Entry event = ready.pop();
+        CAR_CHECK_STATE(!(event < frontier),
+                        "Cluster::execute_arena: timing replay popped an "
+                        "event behind its drain frontier");
+        frontier = event;
+        const double finish = process_event(event.time, event.key);
+        report.replay_digest = fold_replay_event(report.replay_digest,
+                                                 event.time, event.key,
+                                                 finish);
+        drained = true;
       }
-    } else {
-      std::vector<Heap> heaps(rshards);
-      for (std::uint64_t id = 0; id < n_sliced; ++id) {
-        if (pending[id] != 0) continue;
-        const std::uint64_t base = id / num_slices;
-        heaps[static_cast<std::uint64_t>(plan.stripe(base)) % rshards]
-            .emplace(t_start, id);
-      }
-      // Sentinel: a drained shard publishes +inf so it never gates others.
-      const Entry done{std::numeric_limits<double>::infinity(),
-                       std::numeric_limits<std::uint64_t>::max()};
-      std::vector<Entry> tops(rshards, done);
-      for (std::size_t shard = 0; shard < rshards; ++shard) {
-        if (!heaps[shard].empty()) tops[shard] = heaps[shard].top();
-      }
-      std::mutex replay_mu;
-      std::condition_variable replay_cv;
-      std::exception_ptr replay_error;
-      bool replay_failed = false;
-      auto run_replay_shard = [&](std::size_t shard) {
-        Heap& heap = heaps[shard];
-        std::unique_lock<std::mutex> lock(replay_mu);
-        try {
-          for (;;) {
-            if (replay_failed || heap.empty()) break;
-            // The conservative safe window: drain own events strictly below
-            // every other shard's head.  Heads are pairwise distinct (ids
-            // are unique), so the shard holding the global minimum never
-            // blocks and the protocol cannot deadlock.
-            Entry bound = done;
-            for (std::size_t other = 0; other < rshards; ++other) {
-              if (other != shard) bound = std::min(bound, tops[other]);
-            }
-            if (tops[shard] < bound) {
-              while (!heap.empty() && heap.top() < bound) {
-                const auto [at, id] = heap.top();
-                heap.pop();
-                process_event(at, id, heap);
-              }
-              tops[shard] = heap.empty() ? done : heap.top();
-              replay_cv.notify_all();
-            } else {
-              replay_cv.wait(lock);
-            }
-          }
-        } catch (...) {
-          if (!replay_error) replay_error = std::current_exception();
-          replay_failed = true;
-        }
-        tops[shard] = done;
-        replay_cv.notify_all();
-      };
-      std::vector<std::thread> replay_workers;
-      replay_workers.reserve(rshards);
-      for (std::size_t shard = 0; shard < rshards; ++shard) {
-        replay_workers.emplace_back(run_replay_shard, shard);
-      }
-      for (auto& worker : replay_workers) worker.join();
-      if (replay_error) std::rethrow_exception(replay_error);
-    }
-  } else if (rshards == 1 && !streaming) {
-    // Calendar engine, single shard, fully built plan: a plain drain.
-    CalendarQueue ready(static_cast<std::size_t>(n_sliced));
-    for (std::uint64_t id = 0; id < n_sliced; ++id) {
-      if (pending[id] == 0) ready.push(t_start, id);
-    }
-    while (!ready.empty()) {
-      const CalendarQueue::Entry event = ready.pop();
-      process_event(event.time, event.key, ready);
-    }
-  } else {
-    std::vector<CalendarQueue> queues;
-    queues.reserve(rshards);
-    for (std::size_t q = 0; q < rshards; ++q) {
-      queues.emplace_back(static_cast<std::size_t>(n_sliced) / rshards + 1);
-    }
-    if (!streaming) {
-      for (std::uint64_t id = 0; id < n_sliced; ++id) {
-        if (pending[id] != 0) continue;
-        const std::uint64_t base = id / num_slices;
-        queues[static_cast<std::uint64_t>(plan.stripe(base)) % rshards].push(
-            t_start, id);
+      if (!capped) return;
+      if (drained) {
+        idle = 0;
+      } else {
+        relax_cpu(idle++);
       }
     }
-    run_calendar_replay(queues);
-  }
+  };
 
-  if (streaming) {
-    for (auto& worker : payload_workers) worker.join();
+  // A replay failure must still join the streaming payload workers, so it
+  // reports through the same channel as theirs.
+  try {
+    replay();
+  } catch (...) {
+    record_failure();
   }
+  for (auto& worker : payload_workers) worker.join();
   if (error) std::rethrow_exception(error);
   if (streaming) {
     CAR_CHECK(plan.stripe_closed(),

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -73,20 +74,6 @@ struct EmulConfig {
   double virtual_gf_bps = 1.9e10;
 };
 
-/// Which event-queue engine drives the phase-2 timing replay.  Both engines
-/// pop in the identical global (time, id) order, so every reported number
-/// is bit-identical between them — kHeap is kept as the reference
-/// implementation the differential tests and the CI scale-smoke diff
-/// compare against.
-enum class ReplayEngine : std::uint8_t {
-  /// Per-shard bucketed calendar queues (emul/calendar_queue.h) merged by
-  /// the lock-free epoch-based safe-window protocol.  The default.
-  kCalendar,
-  /// The PR-9 engine: per-shard binary heaps merged under a global mutex
-  /// with condvar handoffs.
-  kHeap,
-};
-
 /// Options for Cluster::execute_arena.
 struct ArenaExecOptions {
   /// Stripe shards for the payload pass: base steps are partitioned by
@@ -95,15 +82,9 @@ struct ArenaExecOptions {
   /// add cross-stripe deps and must run with shards == 1.
   std::size_t shards = 1;
 
-  /// Stripe shards for the timing replay (phase 2).  replay_shards > 1
-  /// partitions stripes by stripe % replay_shards onto per-shard event
-  /// heaps and merges them with the owner-advances safe-window protocol
-  /// (see docs/architecture.md): link reservations and floating-point
-  /// accumulation commit in exactly the sequential walk's global
-  /// (time, id) order, so the reported timeline — makespan, compute_s,
-  /// per-link byte totals — is bit-identical to replay_shards == 1 for
-  /// every shard count.  Requires a stripe-closed arena (cross-stripe
-  /// deps would couple the per-shard streams).
+  /// Must be 1: the timing replay has exactly one consumer, the calling
+  /// thread.  The field survives only because carbench/driver.cc still
+  /// assigns it; any other value throws util::CheckError.
   std::size_t replay_shards = 1;
 
   /// Metadata-only mode: steps of unsampled stripes move no payload and
@@ -117,15 +98,11 @@ struct ArenaExecOptions {
   /// irrelevant).  Ignored — every stripe is real — when metadata_only is
   /// false.
   std::vector<cluster::StripeId> sampled_stripes;
-
-  /// Event-queue engine for the timing replay.  Purely a performance
-  /// choice: results are bit-identical either way.
-  ReplayEngine replay_engine = ReplayEngine::kCalendar;
 };
 
 /// Producer-side watermark for Cluster::execute_arena_streaming: the plan
 /// builder appends stripes into a pre-reserved arena and publishes how many
-/// base steps are complete; the executor's payload shards and replay shards
+/// base steps are complete; the executor's payload shards and its replay
 /// consume rows strictly below the watermark while instantiation is still
 /// running.  Single writer (the instantiating thread), many readers.
 class ArenaStreamFeed {
@@ -153,6 +130,29 @@ class ArenaStreamFeed {
   std::atomic<bool> closed_{false};
 };
 
+/// The replay digest of a replay that committed no event: the FNV-1a-64
+/// offset basis.
+inline constexpr std::uint64_t kReplayDigestBasis = 0xcbf29ce484222325ULL;
+
+/// Fold one committed replay event into an order-sensitive FNV-1a-64
+/// digest over 64-bit words: the start time's bit pattern, the sliced step
+/// id and the finish time's bit pattern, in that order, each xored in
+/// whole and followed by one multiply by the FNV-64 prime.  Word-wise
+/// rather than byte-wise keeps the fold to three dependent multiplies per
+/// event, cheap enough to leave on in the hot replay loop.  Each step is a
+/// bijection of the digest, so changing any one word of any one event
+/// always changes the result.
+[[nodiscard]] constexpr std::uint64_t fold_replay_event(
+    std::uint64_t digest, double start, std::uint64_t id,
+    double finish) noexcept {
+  for (const std::uint64_t word : {std::bit_cast<std::uint64_t>(start), id,
+                                   std::bit_cast<std::uint64_t>(finish)}) {
+    digest ^= word;
+    digest *= 0x100000001b3ULL;
+  }
+  return digest;
+}
+
 /// Outcome of executing one recovery plan.
 struct ExecutionReport {
   double wall_s = 0.0;              // end-to-end makespan
@@ -161,6 +161,12 @@ struct ExecutionReport {
   std::uint64_t cross_rack_bytes = 0;
   std::uint64_t intra_rack_bytes = 0;
   std::vector<std::uint64_t> per_rack_cross_bytes;  // indexed by rack
+
+  /// fold_replay_event over every event the arena timing replay committed,
+  /// in commit order (Cluster::execute_arena*; kReplayDigestBasis
+  /// elsewhere).  Two runs with equal digests replayed the same events in
+  /// the same order with the same times — which totals alone cannot show.
+  std::uint64_t replay_digest = kReplayDigestBasis;
 
   /// The paper's transmission-time proxy: wall time minus the replacement
   /// node's computation time.
@@ -341,16 +347,19 @@ class Cluster {
   ///   1. payload movement — base steps partitioned stripe % shards across
   ///      concurrent workers; real bytes move (and real GF kernels run)
   ///      only for stripes the options mark real, byte accounting always;
-  ///   2. a sequential deterministic timing replay over the sliced id grid
-  ///      — the identical (start time, id) min-heap walk execute() uses, so
-  ///      for the same plan the reported timeline, per-link occupancies,
-  ///      and byte totals are bit-identical to execute(slice_plan(...))
-  ///      and invariant in both the shard count and metadata mode.
+  ///   2. a deterministic timing replay over the sliced id grid on the
+  ///      calling thread — the identical (start time, id) order of the
+  ///      min-heap walk execute() uses, so for the same plan the reported
+  ///      timeline, per-link occupancies, and byte totals are
+  ///      bit-identical to execute(slice_plan(...)) and invariant in both
+  ///      the shard count and metadata mode.  The report's replay_digest
+  ///      pins the committed event order.
   ///
   /// Requires ClockMode::kVirtual (throws util::StateError otherwise — a
   /// wall-clock pass cannot skip payloads without changing what it
-  /// measures) and, for shards > 1, a stripe-closed arena
-  /// (util::CheckError).  Other failure modes match execute().
+  /// measures), options.replay_shards == 1, and, for shards > 1, a
+  /// stripe-closed arena (both util::CheckError).  Other failure modes
+  /// match execute().
   ExecutionReport execute_arena(const recovery::PlanArena& plan,
                                 const ArenaExecOptions& options = {});
 
@@ -359,13 +368,14 @@ class Cluster {
   /// (so no column ever reallocates); the producer appends stripes,
   /// publishes its progress through `feed`, finalizes the arena, and calls
   /// feed.close().  Payload shards process base steps as they are
-  /// published, and the replay shards drain the t_start event frontier of
+  /// published, and the replay drains the t_start event frontier of
   /// published stripes immediately — everything later than t_start is
   /// globally ordered after rows still being appended, so it waits for
-  /// close().  Every reported number is bit-identical to the barrier
-  /// execute_arena on the finished arena.  Requires options.metadata_only
-  /// or an empty plan of real stripes to verify against populated chunks
-  /// exactly like execute_arena; other preconditions match execute_arena.
+  /// close().  Every reported number, the replay digest included, is
+  /// bit-identical to the barrier execute_arena on the finished arena.
+  /// Requires options.metadata_only or an empty plan of real stripes to
+  /// verify against populated chunks exactly like execute_arena; other
+  /// preconditions match execute_arena.
   ExecutionReport execute_arena_streaming(const recovery::PlanArena& plan,
                                           const ArenaExecOptions& options,
                                           ArenaStreamFeed& feed);

@@ -257,61 +257,13 @@ TEST(ExecuteArena, TimelineIsInvariantInShardCount) {
     options.shards = shards;
     const auto sharded = run_fixture(fx, 16 * 1024, &options);
     expect_same_timeline(sharded, base);
+    EXPECT_EQ(sharded.report.replay_digest, base.report.replay_digest);
     EXPECT_EQ(sharded.per_link_bytes, base.per_link_bytes);
     ASSERT_EQ(sharded.recovered.size(), base.recovered.size());
     for (std::size_t i = 0; i < base.recovered.size(); ++i) {
       EXPECT_EQ(sharded.recovered[i], base.recovered[i]);
     }
   }
-}
-
-TEST(ExecuteArena, ReplayTimelineIsInvariantInReplayShardCount) {
-  // Deterministic parallel Phase-2 replay: per-stripe-shard heaps drained
-  // under the owner-advances safe-window protocol must commit every
-  // reservation and floating-point accumulation in the exact global merge
-  // order, so makespans, per-link totals, and recovered bytes are
-  // bit-identical to the sequential replay for every shard count.
-  const auto fx = make_fixture(1, 404, kOddChunk, /*window=*/0,
-                               /*stripes=*/12);
-  ArenaExecOptions one;
-  const auto base = run_fixture(fx, 16 * 1024, &one);
-  for (const std::size_t replay_shards :
-       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    ArenaExecOptions options;
-    options.replay_shards = replay_shards;
-    const auto sharded = run_fixture(fx, 16 * 1024, &options);
-    expect_same_timeline(sharded, base);
-    EXPECT_EQ(sharded.per_link_bytes, base.per_link_bytes);
-    ASSERT_EQ(sharded.recovered.size(), base.recovered.size());
-    for (std::size_t i = 0; i < base.recovered.size(); ++i) {
-      EXPECT_EQ(sharded.recovered[i], base.recovered[i]);
-    }
-  }
-  // Scan sharding and replay sharding compose without perturbing a bit.
-  ArenaExecOptions both;
-  both.shards = 4;
-  both.replay_shards = 4;
-  const auto composed = run_fixture(fx, 16 * 1024, &both);
-  expect_same_timeline(composed, base);
-  EXPECT_EQ(composed.per_link_bytes, base.per_link_bytes);
-}
-
-TEST(ExecuteArena, ParallelReplayRequiresStripeClosedPlans) {
-  for (const std::uint64_t seed : {17, 18, 19, 20, 21}) {
-    const auto fx = make_fixture(0, seed, 64 * 1024, /*window=*/1,
-                                 /*stripes=*/12);
-    const auto arena = PlanArena::build(fx.plan, 16 * 1024);
-    if (arena.stripe_closed()) continue;
-    Cluster cluster(fx.placement.topology(), virtual_config());
-    util::Rng data_rng(18);
-    cluster.populate(fx.placement, fx.code, fx.plan.chunk_size, data_rng);
-    cluster.erase_node(fx.failure.failed_node);
-    ArenaExecOptions options;
-    options.replay_shards = 2;
-    EXPECT_THROW(cluster.execute_arena(arena, options), util::CheckError);
-    return;
-  }
-  FAIL() << "no seed produced a plan with cross-stripe deps";
 }
 
 TEST(ExecuteArena, ShardedExecutionRequiresStripeClosedPlans) {
@@ -360,6 +312,7 @@ TEST(ExecuteArena, MetadataModeKeepsTheExactTimelineAndVerifiesSamples) {
     // Identical virtual timeline and byte accounting — payloads don't
     // change what is *measured* ...
     expect_same_timeline(metadata, base);
+    EXPECT_EQ(metadata.report.replay_digest, base.report.replay_digest);
     // ... and the sampled stripes still carried real bytes, verified
     // bit-exactly inside run_fixture (recovered only holds sampled ones).
     EXPECT_EQ(metadata.recovered.size(), sampled.size());

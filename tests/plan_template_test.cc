@@ -384,7 +384,6 @@ TEST(PlanTemplateCache, RealBytesDecodeBitExactFromTemplatedArena) {
 
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 2;
   const auto report = cluster.execute_arena(arena, options);
   EXPECT_GT(report.wall_s, 0.0);
 

@@ -1,9 +1,10 @@
-// Replay-engine differentials: the calendar-queue replay, the sharded
-// safe-window replay, and the streaming (overlapped build/execute) pipeline
-// are pure performance choices — every observable (makespan, compute time,
-// per-rack byte totals, recovered bytes) must be bit-identical to the
-// sequential heap replay, and the two-phase streamed arena build must be
-// bit-equal to the one-shot barrier build.
+// Replay differentials: the calendar-queue timing replay and the streaming
+// (overlapped build/execute) pipeline are pure performance choices — every
+// observable (makespan, compute time, per-rack byte totals, recovered
+// bytes, and the replay digest that pins the committed event order) must
+// be bit-identical to the binary-heap oracle in tests/support, and the
+// two-phase streamed arena build must be bit-equal to the one-shot barrier
+// build.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,7 +21,9 @@
 #include "recovery/multi.h"
 #include "recovery/plan_arena.h"
 #include "recovery/plan_template.h"
+#include "heap_replay.h"
 #include "rs/code.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace car {
@@ -75,6 +78,15 @@ void expect_reports_identical(const emul::ExecutionReport& a,
   EXPECT_EQ(a.cross_rack_bytes, b.cross_rack_bytes);
   EXPECT_EQ(a.intra_rack_bytes, b.intra_rack_bytes);
   EXPECT_EQ(a.per_rack_cross_bytes, b.per_rack_cross_bytes);
+  EXPECT_EQ(a.replay_digest, b.replay_digest);
+}
+
+/// The heap oracle's report for `arena` on a fresh cluster.  The oracle
+/// replays timing only, so nothing is populated.
+emul::ExecutionReport run_oracle(const Fixture& fx, const PlanArena& arena,
+                                 const emul::EmulConfig& config) {
+  emul::Cluster cluster(fx.placement.topology(), config);
+  return oracle::heap_replay(cluster, arena);
 }
 
 /// Populate a fresh cluster (all stripes, seeded bytes), fail the scenario
@@ -166,10 +178,11 @@ void expect_slice_plans_equal(const PlanArena& a, const PlanArena& b) {
   }
 }
 
-// --- engine equality -----------------------------------------------------
+// --- replay equality -----------------------------------------------------
 
-// Heap vs calendar, across replay shard counts: one timeline, bit for bit.
-TEST(ReplayEngine, HeapAndCalendarBitIdenticalAcrossReplayShards) {
+// Calendar replay vs the binary-heap oracle, across payload shard counts:
+// one timeline and one event order, bit for bit.
+TEST(ReplayEngine, CalendarReplayMatchesHeapOracle) {
   const auto fx = make_fixture(0, 61, /*stripes=*/24);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
   PlanTemplateCache cache;
@@ -177,26 +190,35 @@ TEST(ReplayEngine, HeapAndCalendarBitIdenticalAcrossReplayShards) {
       fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
       fx.scenario.replacement, cache);
 
-  emul::ArenaExecOptions base;
-  base.shards = 2;
-  base.replay_shards = 1;
-  base.replay_engine = emul::ReplayEngine::kHeap;
-  const auto reference = run_barrier(fx, arena, base);
+  const auto reference = run_oracle(fx, arena, emul_config());
   ASSERT_GT(reference.wall_s, 0.0);
+  ASSERT_NE(reference.replay_digest, emul::kReplayDigestBasis);
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    emul::ArenaExecOptions options;
+    options.shards = shards;
+    expect_reports_identical(reference, run_barrier(fx, arena, options));
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "shards " << shards;
+  }
+}
 
-  for (const auto engine :
-       {emul::ReplayEngine::kHeap, emul::ReplayEngine::kCalendar}) {
-    for (const std::size_t replay_shards : {1u, 2u, 8u}) {
-      auto options = base;
-      options.replay_engine = engine;
-      options.replay_shards = replay_shards;
-      const auto report = run_barrier(fx, arena, options);
-      expect_reports_identical(reference, report);
-      ASSERT_FALSE(::testing::Test::HasFailure())
-          << "engine " << (engine == emul::ReplayEngine::kHeap ? "heap"
-                                                               : "calendar")
-          << " replay_shards " << replay_shards;
-    }
+// The timing replay has one consumer; the surviving replay_shards field
+// rejects anything else in both pipeline modes.
+TEST(ReplayEngine, ReplayShardsOtherThanOneThrows) {
+  const auto fx = make_fixture(0, 61, /*stripes=*/8);
+  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
+  PlanTemplateCache cache;
+  const auto arena = recovery::build_multi_car_arena(
+      fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
+      fx.scenario.replacement, cache);
+  emul::Cluster cluster(fx.placement.topology(), emul_config());
+  for (const std::size_t replay_shards : {0u, 2u, 8u}) {
+    emul::ArenaExecOptions options;
+    options.replay_shards = replay_shards;
+    EXPECT_THROW((void)cluster.execute_arena(arena, options),
+                 util::CheckError);
+    emul::ArenaStreamFeed feed;
+    EXPECT_THROW((void)cluster.execute_arena_streaming(arena, options, feed),
+                 util::CheckError);
   }
 }
 
@@ -213,7 +235,6 @@ TEST(ReplayEngine, StreamedPipelineMatchesBarrierBitExactly) {
 
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 2;
   const auto reference = run_barrier(fx, arena, options);
 
   PlanArena streamed;
@@ -223,7 +244,8 @@ TEST(ReplayEngine, StreamedPipelineMatchesBarrierBitExactly) {
   expect_slice_plans_equal(arena, streamed);
 }
 
-// Recovered bytes decode bit-exactly through the calendar-sharded replay.
+// Recovered bytes decode bit-exactly through the calendar replay behind a
+// sharded payload pass.
 TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
   const auto fx = make_fixture(0, 29, /*stripes=*/18);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
@@ -241,8 +263,6 @@ TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
 
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 8;
-  options.replay_engine = emul::ReplayEngine::kCalendar;
   (void)cluster.execute_arena(arena, options);
 
   std::size_t verified = 0;
@@ -263,15 +283,15 @@ TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
 // Regression for the calendar-queue rewindow gap in the streamed pipeline:
 // with links slow enough that every dependent lands thousands of virtual
 // seconds past t_start — far beyond the initial all-equal-times rung span
-// (64 unit-width buckets) — a shard that drains its published t_start
+// (64 unit-width buckets) — a replay that drains its published t_start
 // seeds before the feed closes rewindows onto those far-future dependents
-// in the publish-step top(), and the NEXT ingestion batch then pushes
+// in the watermark test's top(), and the NEXT ingestion batch then pushes
 // (t_start, sid) seeds BELOW the rewindowed rung start.  Before the
-// bucket_index fix the misroute made the shard's published frontier
-// non-monotone (breaking the safe-window mutual exclusion) and diverged
-// from the heap engine; the streamed run must stay bit-identical.  The
-// producer is throttled so ingestion batches genuinely interleave with
-// drains instead of arriving in one lump.
+// bucket_index fix the misroute popped events out of order and diverged
+// from a binary heap; the streamed run must stay bit-identical to the heap
+// oracle, which shares no code with the calendar queue.  The producer is
+// throttled so ingestion batches genuinely interleave with drains instead
+// of arriving in one lump.
 TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
   const auto fx = make_fixture(0, 53, /*stripes=*/16);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
@@ -289,8 +309,8 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
 
   // Slow enough that every dependent — transfers and computes alike, one
   // 16 KiB slice ~327,680 virtual seconds — lands far beyond the 64-unit
-  // rung the all-equal t_start rewindow spans, so the per-shard queues
-  // genuinely go rung-empty between ticks.
+  // rung the all-equal t_start rewindow spans, so the replay queue
+  // genuinely goes rung-empty between ticks.
   auto slow = emul_config();
   slow.node_bps = 0.05;
   slow.virtual_gf_bps = 0.05;
@@ -308,19 +328,12 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
     return cluster;
   };
 
-  emul::ExecutionReport reference;
-  {
-    emul::ArenaExecOptions heap_options;
-    heap_options.shards = 2;
-    heap_options.replay_shards = 1;
-    heap_options.replay_engine = emul::ReplayEngine::kHeap;
-    reference = make_cluster()->execute_arena(arena, heap_options);
-    ASSERT_GT(reference.wall_s, 0.0);
-  }
+  const auto reference = run_oracle(fx, arena, slow);
+  ASSERT_GT(reference.wall_s, 0.0);
 
   // Hand-drive the feed over the fully built arena: publish one stripe per
-  // tick, pausing long enough that the replay shards provably drain the
-  // published t_start seeds — and the publish-step top() rewindows onto
+  // tick, pausing long enough that the replay provably drains the
+  // published t_start seeds — and the watermark test's top() rewindows onto
   // the far-future dependents — before the next stripe's seeds land below
   // the rewindowed rung.  (A real producer builds rows between publishes;
   // pre-building the arena only makes the watermark more conservative.)
@@ -342,8 +355,6 @@ TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
   });
   emul::ArenaExecOptions options;
   options.shards = 2;
-  options.replay_shards = 2;
-  options.replay_engine = emul::ReplayEngine::kCalendar;
   emul::ExecutionReport report;
   auto cluster = make_cluster();
   try {
@@ -417,45 +428,6 @@ TEST(ReplayEngine, TemplateRdepReleaseResealsOnCacheReuse) {
   // Every template resolves from the cache the second time around.
   EXPECT_GT(cache.stats().hits, hits_after_first);
   expect_slice_plans_equal(first, second);
-}
-
-// --- safe-window stress --------------------------------------------------
-
-// Metadata-only, many stripes, 8 replay shards with a skewed per-shard
-// load: the lock-free safe-window slots see heavy contention (this is the
-// TSan target in CI), and the timeline must still match the serial drain.
-TEST(ReplayEngine, SafeWindowStressSkewedShardsBitIdentical) {
-  const auto fx = make_fixture(0, 5, /*stripes=*/400);
-  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  PlanTemplateCache cache;
-  const auto arena = recovery::build_multi_car_arena(
-      fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
-      fx.scenario.replacement, cache);
-
-  std::vector<cluster::StripeId> sampled;
-  for (cluster::StripeId s = 0; s < 8; ++s) sampled.push_back(s);
-
-  emul::ExecutionReport reference;
-  for (const std::size_t replay_shards : {1u, 8u}) {
-    emul::Cluster cluster(fx.placement.topology(), emul_config());
-    (void)cluster.populate_sampled(fx.placement, fx.code, kChunk, 7,
-                                   sampled);
-    for (const auto node : fx.scenario.failed_nodes) {
-      cluster.erase_node(node);
-    }
-    emul::ArenaExecOptions options;
-    options.shards = 4;
-    options.replay_shards = replay_shards;
-    options.metadata_only = true;
-    options.sampled_stripes = sampled;
-    const auto report = cluster.execute_arena(arena, options);
-    if (replay_shards == 1) {
-      reference = report;
-      ASSERT_GT(reference.wall_s, 0.0);
-    } else {
-      expect_reports_identical(reference, report);
-    }
-  }
 }
 
 }  // namespace

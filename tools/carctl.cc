@@ -239,12 +239,6 @@ int cmd_emulate_scale(const util::Flags& flags) {
       flags.get_double("chunk-mib", 0.25) * static_cast<double>(util::kMiB));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
-  // Replay defaults to one shard: the safe-window protocol admits one
-  // drainer at a time whatever the shard count, so the serial calendar
-  // drain is the fastest configuration; sharded replay stays available as
-  // a generality/verification mode (results are bit-identical either way).
-  const auto replay_shards =
-      static_cast<std::size_t>(flags.get_int("replay-shards", 1));
   const bool metadata_only = flags.get_bool("metadata-only", false);
   const auto sample = static_cast<std::size_t>(flags.get_int("sample", 4));
   const bool fail_rack = flags.get_bool("fail-rack", false);
@@ -254,25 +248,13 @@ int cmd_emulate_scale(const util::Flags& flags) {
   const std::uint64_t slice_bytes =
       static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) * util::kKiB;
   const std::string strategy = flags.get("strategy", "car");
-  const std::string engine_name = flags.get("engine", "calendar");
-  emul::ReplayEngine engine;
-  if (engine_name == "calendar") {
-    engine = emul::ReplayEngine::kCalendar;
-  } else if (engine_name == "heap") {
-    engine = emul::ReplayEngine::kHeap;
-  } else {
-    throw std::invalid_argument("--engine must be calendar or heap");
-  }
   const bool stream = flags.get_bool("stream", false);
-  if (stream && engine != emul::ReplayEngine::kCalendar) {
-    throw std::invalid_argument("--stream requires --engine calendar");
-  }
   const rs::Code code(cfg.k, cfg.m);
 
   emul::EmulConfig emul_cfg;
   emul_cfg.node_bps = flags.get_double("node-mbps", 400.0) * 1e6;
   emul_cfg.oversubscription = flags.get_double("oversub", 5.0);
-  // The sharded engine replays timing deterministically, which needs the
+  // The arena engine replays timing deterministically, which needs the
   // virtual clock; wall-clock pacing is meaningless at this scale anyway.
   emul_cfg.clock_mode = emul::ClockMode::kVirtual;
 
@@ -364,9 +346,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
 
   emul::ArenaExecOptions options;
   options.shards = shards;
-  options.replay_shards = replay_shards;
   options.metadata_only = metadata_only;
-  options.replay_engine = engine;
   if (metadata_only) options.sampled_stripes = materialise;
 
   double lower_s = 0.0;
@@ -472,15 +452,13 @@ int cmd_emulate_scale(const util::Flags& flags) {
         "  \"outputs\": %zu,\n"
         "  \"metadata_only\": %s,\n"
         "  \"shards\": %zu,\n"
-        "  \"replay_shards\": %zu,\n"
         "  \"makespan_s\": %.17g,\n"
         "  \"cross_rack_bytes\": %llu,\n"
+        "  \"replay_digest\": \"%016llx\",\n"
         "  \"verified_outputs\": %zu,\n"
         "  \"expected_outputs\": %zu,\n"
         "  \"timing\": {\n"
         "    \"shards\": %zu,\n"
-        "    \"replay_shards\": %zu,\n"
-        "    \"engine\": \"%s\",\n"
         "    \"streamed\": %s,\n"
         "    \"scan_s\": %.6f,\n"
         "    \"plan_s\": %.6f,\n"
@@ -497,11 +475,11 @@ int cmd_emulate_scale(const util::Flags& flags) {
         fail_rack ? "full-rack" : "single-node", censuses.size(),
         static_cast<unsigned long long>(arena.num_base_steps()),
         outputs.size(), metadata_only ? "true" : "false", shards,
-        replay_shards, report.wall_s,
-        static_cast<unsigned long long>(report.cross_rack_bytes), verified,
-        expected, shards, replay_shards, engine_name.c_str(),
-        stream ? "true" : "false", scan_s, plan_s, lower_s, replay_s,
-        end_to_end_s, host_s,
+        report.wall_s,
+        static_cast<unsigned long long>(report.cross_rack_bytes),
+        static_cast<unsigned long long>(report.replay_digest), verified,
+        expected, shards, stream ? "true" : "false", scan_s, plan_s,
+        lower_s, replay_s, end_to_end_s, host_s,
         static_cast<double>(util::peak_rss_bytes()) /
             static_cast<double>(util::kMiB),
         cache.stats().hits, cache.stats().misses);
@@ -516,11 +494,9 @@ int cmd_emulate_scale(const util::Flags& flags) {
               censuses.size(),
               static_cast<unsigned long long>(arena.num_base_steps()),
               outputs.size());
-  std::printf("  mode %s | shards %zu | replay shards %zu | engine %s%s | "
-              "sampled stripes %zu\n",
+  std::printf("  mode %s | shards %zu%s | sampled stripes %zu\n",
               metadata_only ? "metadata-only" : "real-bytes", shards,
-              replay_shards, engine_name.c_str(), stream ? " (streamed)" : "",
-              materialise.size());
+              stream ? " (streamed)" : "", materialise.size());
   std::printf("  timing: scan %.3f s | plan %.3f s | lower %.3f s | replay "
               "%.3f s (templates: %zu planned, %zu reused)\n",
               scan_s, plan_s, lower_s, replay_s, cache.stats().misses,
@@ -532,6 +508,8 @@ int cmd_emulate_scale(const util::Flags& flags) {
               end_to_end_s, host_s,
               static_cast<double>(util::peak_rss_bytes()) /
                   static_cast<double>(util::kMiB));
+  std::printf("  replay digest %016llx\n",
+              static_cast<unsigned long long>(report.replay_digest));
   std::printf("  verified %zu/%zu sampled outputs bit-exact\n", verified,
               expected);
   return verified == expected && expected > 0 ? 0 : 1;
@@ -967,14 +945,11 @@ int cmd_rebuild_run(const util::Flags& flags) {
     // The event log stays a pure function of (scenario, seed) — host
     // timing lives only in this wrapper, never in the log (CI diffs
     // --log-out files byte-for-byte across runs and shard counts).
-    // shards/replay_shards make the row reproducible from the JSON alone;
-    // the control plane's batch driver replays serially, so replay_shards
-    // is the literal 1 it runs with.
+    // shards makes the row reproducible from the JSON alone.
     std::printf(
         "{\n"
         "  \"timing\": {\n"
         "    \"shards\": %zu,\n"
-        "    \"replay_shards\": 1,\n"
         "    \"scan_s\": %.6f,\n"
         "    \"plan_s\": %.6f,\n"
         "    \"template_cache_hits\": %zu,\n"
@@ -1040,8 +1015,8 @@ void usage() {
       "  simulate: --node-gbps G --oversub X --hop-latency-us U\n"
       "  emulate:  --node-mbps M --oversub X --window W --slice-kib S --virtual\n"
       "            scale path (arena engine): --metadata-only --sample N\n"
-      "            --shards N --replay-shards N --fail-rack --iterations I\n"
-      "            --strategy car|rr --engine calendar|heap --stream --json\n"
+      "            --shards N --fail-rack --iterations I --strategy car|rr\n"
+      "            --stream --json\n"
       "  trace:    --failures N\n"
       "  validate: --strategy car|rr|weighted|multi|all --window W\n"
       "            --slice-kib S (also validate the slice lowering)\n"

@@ -162,10 +162,12 @@ struct ExecutionReport {
   std::uint64_t intra_rack_bytes = 0;
   std::vector<std::uint64_t> per_rack_cross_bytes;  // indexed by rack
 
-  /// fold_replay_event over every event the arena timing replay committed,
-  /// in commit order (Cluster::execute_arena*; kReplayDigestBasis
-  /// elsewhere).  Two runs with equal digests replayed the same events in
-  /// the same order with the same times — which totals alone cannot show.
+  /// fold_replay_event over every committed event, in commit order: the
+  /// arena timing replay's (Cluster::execute_arena*) and every completed
+  /// step of the fault-aware event loop (rebuild::BatchDriver, keyed by its
+  /// event key); kReplayDigestBasis elsewhere.  Two runs with equal digests
+  /// replayed the same events in the same order with the same times —
+  /// which totals alone cannot show.
   std::uint64_t replay_digest = kReplayDigestBasis;
 
   /// The paper's transmission-time proxy: wall time minus the replacement

@@ -43,6 +43,11 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;
 
+/// Fixed-precision seconds ("%.9f") for timestamps and times in event
+/// details: virtual times are exact doubles from deterministic arithmetic,
+/// and nanosecond grain renders them identically on every run and platform.
+[[nodiscard]] std::string format_time(double t);
+
 /// One timestamped occurrence.  Unused numeric fields stay -1 (bytes: 0);
 /// the JSON always serialises every field so the byte layout of a log is a
 /// pure function of the event sequence.

@@ -9,11 +9,15 @@
 // work through recovery/multi, re-validates the new plan with
 // recovery/validate, and resumes on the same virtual timeline.
 //
-// Execution is a sequential event loop in virtual time ((time, step,
-// attempt) min-heap), so with a virtual-clock cluster a run is a pure
-// function of (plan, FaultPlan, seed): the EventLog two identical runs
-// produce is byte-identical.  Real bytes still move and the real GF kernels
-// still run — recovered chunks are bit-exact, not simulated.
+// The plan runs as a one-batch rebuild::BatchDriver — the fault-aware
+// event loop the rebuild coordinator also runs on — and this runtime is
+// the crash-escalation policy over it: a time-triggered crash is a
+// run_until deadline, a fraction-triggered crash a completed-step stop,
+// and the escalation is cancel_all, drop_node, re-plan, admit.  With a
+// virtual-clock cluster a run is a pure function of (plan, FaultPlan,
+// seed): the EventLog two identical runs produce is byte-identical.  Real
+// bytes still move and the real GF kernels still run — recovered chunks
+// are bit-exact, not simulated.
 //
 // Accounting is at-most-once: ExecutionReport traffic counts a transfer's
 // payload exactly once, no matter how many attempts it took (failed

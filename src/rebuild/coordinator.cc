@@ -87,6 +87,7 @@ RebuildResult RebuildCoordinator::run(std::span<const FailureEvent> events) {
 
   BatchDriver driver(cluster_, options_.faults, options_.retry, options_.seed,
                      options_.slice_bytes, options_.data, result_.log);
+  driver.log_link_faults();
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FailureEvent& event = events[i];
@@ -309,7 +310,11 @@ bool RebuildCoordinator::dispatch_one(BatchDriver& driver) {
           join_nodes(signature) + "], strategy " +
           to_string(options_.strategy) + ", " +
           std::to_string(plan.steps.size()) + " steps");
-  driver.admit(id, plan);
+  const recovery::SlicePlan& sliced = driver.admit(id, plan);
+  result_.log.record(driver.now(), EventKind::kRunStart, -1, -1,
+                     static_cast<std::int64_t>(replacement_), 0,
+                     run_start_detail(plan, sliced, {}) + ", batch " +
+                         std::to_string(id));
   inflight_batches_[id].outputs = std::move(outputs);
   return true;
 }

@@ -449,6 +449,72 @@ TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   }
 }
 
+// A dependent step is ready at the LATEST finish of its producers, not at
+// the finish of whichever producer the loop happened to process last.  The
+// start and finish of every step are rebuilt from the log: a transfer
+// starts at its attempt record and finishes at its completion record; a
+// compute finishes at its record and started bytes / virtual_gf_bps
+// earlier.  Fault-free, so every transfer succeeds on its first attempt.
+TEST(BatchDriver, StepsStartAfterEveryDependencyFinishes) {
+  constexpr std::uint64_t kChunk = 64 * 1024;
+  const cluster::Topology topology({5, 5, 5, 5, 5, 5});
+  const rs::Code code(6, 3);
+  emul::EmulConfig config;
+  config.clock_mode = emul::ClockMode::kVirtual;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    emul::Cluster cluster(topology, config);
+    util::Rng rng(seed);
+    const auto placement =
+        cluster::Placement::random(topology, code.k(), code.m(), 40, rng);
+    const auto failure = cluster::inject_random_failure(placement, rng);
+    cluster.erase_node(failure.failed_node);
+    const auto censuses = recovery::build_censuses(placement, failure);
+    const auto balanced = recovery::balance_greedy(placement, censuses, {50});
+    const auto plan = recovery::build_car_plan(
+        placement, code, balanced.solutions, kChunk, failure.failed_node);
+
+    inject::EventLog log;
+    inject::DataPolicy metadata;
+    metadata.metadata_only = true;
+    BatchDriver driver(cluster, {}, {}, seed, 0, metadata, log);
+    driver.admit(0, plan);
+    while (driver.run_until(std::nullopt).stop != StopReason::kIdle) {
+    }
+
+    std::vector<double> start(plan.steps.size(), -1.0);
+    std::vector<double> finish(plan.steps.size(), -1.0);
+    for (const auto& event : log.events()) {
+      if (event.step < 0) continue;
+      const auto id = static_cast<std::size_t>(event.step);
+      ASSERT_LT(id, plan.steps.size());
+      switch (event.kind) {
+        case EventKind::kTransferAttempt:
+          start[id] = event.t;
+          break;
+        case EventKind::kTransferComplete:
+          finish[id] = event.t;
+          break;
+        case EventKind::kComputeComplete:
+          finish[id] = event.t;
+          start[id] = event.t - static_cast<double>(event.bytes) /
+                                    config.virtual_gf_bps;
+          break;
+        default:
+          break;
+      }
+    }
+    for (const auto& step : plan.steps) {
+      ASSERT_GE(start[step.id], 0.0) << "step " << step.id << " never ran";
+      for (const std::size_t dep : step.deps) {
+        EXPECT_GE(start[step.id] + 1e-12, finish[dep])
+            << "step " << step.id << " starts before dependency " << dep
+            << " finishes";
+      }
+    }
+  }
+}
+
 TEST(RebuildScenario, RollingTwoRackRecoversBitExact) {
   const auto outcome =
       run_rebuild_scenario(canned_rebuild_scenario("rolling-two-rack"));

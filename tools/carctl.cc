@@ -855,7 +855,10 @@ int cmd_inject_run(const util::Flags& flags) {
     out << run.log.to_json();
   }
   if (flags.get_bool("json")) {
+    std::printf("{\n  \"replay_digest\": \"%016llx\",\n  \"log\": ",
+                static_cast<unsigned long long>(run.report.replay_digest));
     std::fputs(run.log.to_json().c_str(), stdout);
+    std::fputs("}\n", stdout);
   }
 
   std::printf("scenario %s (%s): failed node %zu%s\n", scenario.name.c_str(),
@@ -874,6 +877,8 @@ int cmd_inject_run(const util::Flags& flags) {
               run.report.wall_s,
               util::format_bytes(run.report.cross_rack_bytes).c_str(),
               outcome.chunks_verified, outcome.chunks_expected);
+  std::printf("  replay digest %016llx\n",
+              static_cast<unsigned long long>(run.report.replay_digest));
 
   const bool ok = outcome.bit_exact && outcome.chunks_expected > 0 &&
                   outcome.initial_validation.ok() &&
@@ -955,10 +960,12 @@ int cmd_rebuild_run(const util::Flags& flags) {
         "    \"template_cache_hits\": %zu,\n"
         "    \"template_cache_misses\": %zu\n"
         "  },\n"
+        "  \"replay_digest\": \"%016llx\",\n"
         "  \"log\": ",
         shards, result.metrics.scan_host_s, result.metrics.plan_host_s,
         result.metrics.template_cache_hits,
-        result.metrics.template_cache_misses);
+        result.metrics.template_cache_misses,
+        static_cast<unsigned long long>(result.report.replay_digest));
     std::fputs(result.log.to_json().c_str(), stdout);
     std::fputs("}\n", stdout);
   }
@@ -998,6 +1005,8 @@ int cmd_rebuild_run(const util::Flags& flags) {
               "materialised stripes\n",
               result.recovered.size(), outcome.chunks_verified,
               outcome.chunks_expected, outcome.stripes_materialised);
+  std::printf("  replay digest %016llx\n",
+              static_cast<unsigned long long>(result.report.replay_digest));
 
   const bool ok = outcome.bit_exact && outcome.chunks_expected > 0;
   std::printf("  result: %s\n", ok ? "OK" : "FAILED");

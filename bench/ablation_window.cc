@@ -9,6 +9,8 @@
 
 #include "cluster/configs.h"
 #include "recovery/balancer.h"
+#include "recovery/multi.h"
+#include "recovery/plan_template.h"
 #include "recovery/scheduler.h"
 #include "simnet/flowsim.h"
 #include "util/bytes.h"
@@ -35,9 +37,12 @@ int main() {
     const auto censuses = recovery::build_censuses(placement, scenario);
     const rs::Code code(cfg.k, cfg.m);
     const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-    const auto plan = recovery::build_car_plan(
-        placement, code, balanced.solutions, kChunkSize,
-        scenario.failed_node);
+    recovery::PlanTemplateCache templates;
+    const auto plan =
+        recovery::build_multi_car_arena(
+            placement, code, recovery::to_multi(balanced.solutions),
+            kChunkSize, kChunkSize, scenario.failed_node, templates)
+            .to_plan();
 
     const simnet::NetConfig net;
     util::TextTable table({"window", "makespan (s)", "time/chunk (s)",

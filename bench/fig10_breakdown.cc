@@ -15,6 +15,8 @@
 #include "cluster/configs.h"
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
+#include "recovery/multi.h"
+#include "recovery/plan_template.h"
 #include "util/bytes.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -100,8 +102,12 @@ int main() {
              const auto& scenario, util::Rng& rng) {
             const auto solution =
                 recovery::random_recovery(placement, census, rng);
-            return recovery::build_rr_plan(placement, code, {&solution, 1},
-                                           kChunkSize, scenario.failed_node);
+            recovery::PlanTemplateCache templates;
+            return recovery::build_multi_rr_arena(
+                       placement, code, recovery::to_multi({&solution, 1}),
+                       kChunkSize, kChunkSize, scenario.failed_node,
+                       templates)
+                .to_plan();
           });
 
       const auto car = run_serialised(
@@ -110,8 +116,12 @@ int main() {
              const auto& scenario, util::Rng&) {
             const auto solution = recovery::materialize(
                 placement, census, recovery::default_solution(census));
-            return recovery::build_car_plan(placement, code, {&solution, 1},
-                                            kChunkSize, scenario.failed_node);
+            recovery::PlanTemplateCache templates;
+            return recovery::build_multi_car_arena(
+                       placement, code, recovery::to_multi({&solution, 1}),
+                       kChunkSize, kChunkSize, scenario.failed_node,
+                       templates)
+                .to_plan();
           });
 
       rr_ratio.add(rr.compute_s / rr.wall_s);

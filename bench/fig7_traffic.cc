@@ -9,6 +9,8 @@
 #include "cluster/configs.h"
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
+#include "recovery/multi.h"
+#include "recovery/plan_template.h"
 #include "util/bytes.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -77,8 +79,12 @@ int main() {
       const auto censuses = recovery::build_censuses(placement, scenario);
       const rs::Code code(cfg.k, cfg.m);
       const auto car = recovery::balance_greedy(placement, censuses, {50});
-      const auto plan = recovery::build_car_plan(
-          placement, code, car.solutions, kVerifyChunk, scenario.failed_node);
+      recovery::PlanTemplateCache templates;
+      const auto plan =
+          recovery::build_multi_car_arena(
+              placement, code, recovery::to_multi(car.solutions),
+              kVerifyChunk, kVerifyChunk, scenario.failed_node, templates)
+              .to_plan();
 
       emul::EmulConfig emul_cfg;
       emul_cfg.clock_mode = emul::ClockMode::kVirtual;

@@ -11,6 +11,8 @@
 #include "cluster/configs.h"
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
+#include "recovery/multi.h"
+#include "recovery/plan_template.h"
 #include "simnet/flowsim.h"
 #include "util/bytes.h"
 #include "util/stats.h"
@@ -55,6 +57,9 @@ int main() {
 
   for (const auto& cfg : cluster::paper_configs()) {
     const auto net = testbed_net(cfg.topology().num_racks());
+    // One template cache per code: its decode memo is keyed by chunk
+    // indices only, so it must not outlive the config's RS(k, m).
+    recovery::PlanTemplateCache templates;
     util::TextTable table({"chunk size", "RR time/chunk (s)",
                            "CAR time/chunk (s)", "speedup"});
     for (const std::uint64_t mib : kChunkSizesMiB) {
@@ -70,17 +75,22 @@ int main() {
         const double lost = static_cast<double>(scenario.lost.size());
 
         const auto rr = recovery::plan_rr(placement, censuses, rng);
-        const auto rr_plan = recovery::build_rr_plan(
-            placement, code, rr, chunk_size, scenario.failed_node);
+        const auto rr_plan =
+            recovery::build_multi_rr_arena(
+                placement, code, recovery::to_multi(rr), chunk_size,
+                chunk_size, scenario.failed_node, templates)
+                .to_plan();
         rr_time.add(
             simnet::simulate_plan(placement.topology(), rr_plan, net)
                 .makespan_s / lost);
 
         const auto balanced =
             recovery::balance_greedy(placement, censuses, {50});
-        const auto car_plan = recovery::build_car_plan(
-            placement, code, balanced.solutions, chunk_size,
-            scenario.failed_node);
+        const auto car_plan =
+            recovery::build_multi_car_arena(
+                placement, code, recovery::to_multi(balanced.solutions),
+                chunk_size, chunk_size, scenario.failed_node, templates)
+                .to_plan();
         car_time.add(
             simnet::simulate_plan(placement.topology(), car_plan, net)
                 .makespan_s / lost);
@@ -124,13 +134,18 @@ int main() {
       };
 
       const auto rr = recovery::plan_rr(placement, censuses, rng);
-      const double rr_s = recover(recovery::build_rr_plan(
-          placement, code, rr, kEmulChunk, scenario.failed_node));
+      const double rr_s = recover(
+          recovery::build_multi_rr_arena(
+              placement, code, recovery::to_multi(rr), kEmulChunk,
+              kEmulChunk, scenario.failed_node, templates)
+              .to_plan());
       const auto balanced = recovery::balance_greedy(placement, censuses,
                                                      {50});
-      const double car_s = recover(recovery::build_car_plan(
-          placement, code, balanced.solutions, kEmulChunk,
-          scenario.failed_node));
+      const double car_s = recover(
+          recovery::build_multi_car_arena(
+              placement, code, recovery::to_multi(balanced.solutions),
+              kEmulChunk, kEmulChunk, scenario.failed_node, templates)
+              .to_plan());
       emul_speedup.add(1.0 - car_s / rr_s);
     }
     std::printf("virtual-clock emulator cross-check (%s chunks, %d runs): "

@@ -16,6 +16,8 @@
 #include "cluster/configs.h"
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
+#include "recovery/multi.h"
+#include "recovery/plan_template.h"
 #include "util/bytes.h"
 
 int main(int argc, char** argv) {
@@ -48,16 +50,23 @@ int main(int argc, char** argv) {
     cluster.erase_node(scenario.failed_node);
     const auto censuses = recovery::build_censuses(placement, scenario);
 
+    // Single-failure solutions enter the planner as the L = 1 case of the
+    // multi-failure types; to_plan() reads the arena back as PlanSteps.
+    recovery::PlanTemplateCache templates;
     recovery::RecoveryPlan plan;
     if (use_car) {
       const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-      plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                      chunk_size, scenario.failed_node);
+      plan = recovery::build_multi_car_arena(
+                 placement, code, recovery::to_multi(balanced.solutions),
+                 chunk_size, chunk_size, scenario.failed_node, templates)
+                 .to_plan();
     } else {
       util::Rng rr_rng(11);
       const auto rr = recovery::plan_rr(placement, censuses, rr_rng);
-      plan = recovery::build_rr_plan(placement, code, rr, chunk_size,
-                                     scenario.failed_node);
+      plan = recovery::build_multi_rr_arena(
+                 placement, code, recovery::to_multi(rr), chunk_size,
+                 chunk_size, scenario.failed_node, templates)
+                 .to_plan();
     }
     const auto report = cluster.execute(plan);
 

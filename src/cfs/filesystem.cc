@@ -5,6 +5,7 @@
 
 #include "recovery/degraded.h"
 #include "recovery/multi.h"
+#include "recovery/plan_template.h"
 #include "util/check.h"
 
 namespace car::cfs {
@@ -142,8 +143,12 @@ RepairReport FileSystem::repair(std::optional<cluster::NodeId> replacement) {
   const auto censuses = recovery::build_multi_censuses(placement_, scenario);
   if (!censuses.empty()) {
     const auto balanced = recovery::balance_multi(placement_, censuses, 50);
-    const auto plan = recovery::build_multi_car_plan(
-        placement_, code_, balanced.solutions, config_.chunk_size, target);
+    recovery::PlanTemplateCache templates;
+    const auto plan =
+        recovery::build_multi_car_arena(placement_, code_, balanced.solutions,
+                                        config_.chunk_size,
+                                        config_.chunk_size, target, templates)
+            .to_plan();
     const auto exec = cluster_.execute(plan);
     report.wall_s = exec.wall_s;
     report.cross_rack_bytes = exec.cross_rack_bytes;

@@ -8,6 +8,7 @@
 
 #include "rebuild/driver.h"
 #include "recovery/multi.h"
+#include "recovery/plan_template.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -209,20 +210,25 @@ RunResult ResilientRuntime::execute_sliced(const recovery::RecoveryPlan& plan,
         recovery::build_multi_censuses(*context.placement, scenario);
     recovery::ValidateOptions options;
     options.placement = context.placement;
+    recovery::PlanTemplateCache templates;
     if (car) {
       const auto balanced =
           recovery::balance_multi(*context.placement, censuses);
-      current = recovery::build_multi_car_plan(
-          *context.placement, *context.code, balanced.solutions,
-          plan.chunk_size, plan.replacement);
+      current = recovery::build_multi_car_arena(
+                    *context.placement, *context.code, balanced.solutions,
+                    plan.chunk_size, plan.chunk_size, plan.replacement,
+                    templates)
+                    .to_plan();
       options.expected_cross_rack_chunks = recovery::claimed_cross_rack_chunks(
           balanced.solutions, scenario.replacement_rack);
     } else {
       const auto solutions =
           recovery::plan_multi_rr(*context.placement, censuses, replan_rng);
-      current = recovery::build_multi_rr_plan(
-          *context.placement, *context.code, solutions, plan.chunk_size,
-          plan.replacement);
+      current = recovery::build_multi_rr_arena(
+                    *context.placement, *context.code, solutions,
+                    plan.chunk_size, plan.chunk_size, plan.replacement,
+                    templates)
+                    .to_plan();
     }
     result.replan_validation =
         recovery::validate_plan(current, cluster_.topology(), options);

@@ -16,7 +16,9 @@
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
 #include "recovery/census.h"
+#include "recovery/multi.h"
 #include "recovery/plan.h"
+#include "recovery/plan_template.h"
 #include "recovery/random_recovery.h"
 #include "recovery/validate.h"
 #include "rs/code.h"
@@ -514,18 +516,24 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   recovery::RecoveryPlan plan;
   recovery::ValidateOptions options;
   options.placement = &placement;
+  recovery::PlanTemplateCache templates;
   if (car) {
     const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-    plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                    scenario.chunk_bytes,
-                                    failure.failed_node);
+    plan = recovery::build_multi_car_arena(
+               placement, code, recovery::to_multi(balanced.solutions),
+               scenario.chunk_bytes, scenario.chunk_bytes,
+               failure.failed_node, templates)
+               .to_plan();
     options.expected_cross_rack_chunks = recovery::claimed_cross_rack_chunks(
         balanced.solutions, failure.failed_rack);
   } else {
     util::Rng rr_rng(scenario.seed + 1);
     const auto solutions = recovery::plan_rr(placement, censuses, rr_rng);
-    plan = recovery::build_rr_plan(placement, code, solutions,
-                                   scenario.chunk_bytes, failure.failed_node);
+    plan = recovery::build_multi_rr_arena(
+               placement, code, recovery::to_multi(solutions),
+               scenario.chunk_bytes, scenario.chunk_bytes,
+               failure.failed_node, templates)
+               .to_plan();
   }
 
   ScenarioOutcome outcome;

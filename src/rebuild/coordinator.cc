@@ -262,20 +262,20 @@ bool RebuildCoordinator::dispatch_one(BatchDriver& driver) {
   if (options_.strategy == Strategy::kCar) {
     const recovery::MultiBalanceResult balanced =
         recovery::balance_multi(placement_, censuses);
-    plan = recovery::build_multi_car_plan_cached(
-        placement_, code_,
-        std::span<const recovery::MultiStripeSolution>(balanced.solutions),
-        options_.chunk_bytes, replacement_, template_cache_);
+    plan = recovery::build_multi_car_arena(
+               placement_, code_, balanced.solutions, options_.chunk_bytes,
+               options_.chunk_bytes, replacement_, template_cache_)
+               .to_plan();
     vopts.expected_cross_rack_chunks = recovery::claimed_cross_rack_chunks(
         std::span<const recovery::MultiStripeSolution>(balanced.solutions),
         replacement_rack_);
   } else {
     const std::vector<recovery::MultiRrSolution> solutions =
         recovery::plan_multi_rr(placement_, censuses, rr_rng_);
-    plan = recovery::build_multi_rr_plan_cached(
-        placement_, code_,
-        std::span<const recovery::MultiRrSolution>(solutions),
-        options_.chunk_bytes, replacement_, template_cache_);
+    plan = recovery::build_multi_rr_arena(
+               placement_, code_, solutions, options_.chunk_bytes,
+               options_.chunk_bytes, replacement_, template_cache_)
+               .to_plan();
     vopts.require_single_aggregator_per_rack = false;
   }
   result_.metrics.plan_host_s += host_seconds_since(plan_start);

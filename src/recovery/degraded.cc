@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "recovery/planner.h"
 #include "util/check.h"
 
 namespace car::recovery {

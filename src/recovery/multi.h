@@ -27,8 +27,8 @@
 #include "cluster/placement.h"
 #include "cluster/types.h"
 #include "recovery/metrics.h"
-#include "recovery/plan.h"
 #include "recovery/planner.h"
+#include "recovery/random_recovery.h"
 #include "recovery/solutions.h"
 #include "rs/code.h"
 #include "util/rng.h"
@@ -118,6 +118,13 @@ struct MultiStripeSolution {
   [[nodiscard]] std::vector<std::size_t> all_chunk_indices() const;
 };
 
+/// Single-failure CAR solutions (recovery/planner.h) as the L = 1 case of
+/// the multi-failure type: one lost chunk, the same rack set and picks in
+/// the same order.  Single-failure plans are built from this view by the
+/// one CAR planner, build_multi_car_arena (recovery/plan_template.h).
+std::vector<MultiStripeSolution> to_multi(
+    std::span<const PerStripeSolution> solutions);
+
 /// Materialise a valid minimal rack set into chunk picks (k chunks total).
 MultiStripeSolution materialize_multi(const cluster::Placement& placement,
                                       const MultiStripeCensus& census,
@@ -165,13 +172,6 @@ class RepairMemo {
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> memo_;
 };
 
-/// Compile into an executable plan: per contributing rack, the aggregator
-/// computes one partial per lost chunk and ships each to the replacement.
-RecoveryPlan build_multi_car_plan(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement);
-
 /// RR-style baseline: fetch k random survivors per stripe to the
 /// replacement, which decodes all lost chunks there.
 struct MultiRrSolution {
@@ -179,16 +179,14 @@ struct MultiRrSolution {
   std::vector<std::size_t> lost_chunks;
   std::vector<std::size_t> chunk_indices;  // k survivors fetched
 };
+/// Single-failure RR solutions as the L = 1 case of MultiRrSolution, for
+/// the one RR planner, build_multi_rr_arena.
+std::vector<MultiRrSolution> to_multi(std::span<const RrSolution> solutions);
 std::vector<MultiRrSolution> plan_multi_rr(
     const cluster::Placement& placement,
     const std::vector<MultiStripeCensus>& censuses, util::Rng& rng);
 TrafficSummary multi_rr_traffic(const cluster::Placement& placement,
                                 const std::vector<MultiRrSolution>& solutions,
                                 cluster::RackId replacement_rack);
-RecoveryPlan build_multi_rr_plan(const cluster::Placement& placement,
-                                 const rs::Code& code,
-                                 std::span<const MultiRrSolution> solutions,
-                                 std::uint64_t chunk_size,
-                                 cluster::NodeId replacement);
 
 }  // namespace car::recovery

@@ -1,14 +1,18 @@
 // Executable recovery plans.
 //
 // A RecoveryPlan is a DAG of transfer and compute steps that fully describes
-// a multi-stripe single-failure recovery — which node sends which buffer to
-// whom, and which linear combinations are evaluated where.  The same plan is
-// consumed by three back-ends:
-//   * recovery/metrics.h-style counting (traffic accounting, tested against
-//     the analytic summaries),
+// a multi-stripe recovery — which node sends which buffer to whom, and which
+// linear combinations are evaluated where.  Plans are built in exactly one
+// place: the template-cached arena planner (recovery/plan_template.h,
+// build_multi_{car,rr}_arena), whose columnar PlanArena is the source of
+// truth.  A RecoveryPlan is that arena's chunk-granular view
+// (PlanArena::to_plan()), read by the back-ends that walk PlanSteps:
+//   * validate_plan (recovery/validate.h) and the byte accounting below,
 //   * simnet::simulate_plan (flow-level timing model),
-//   * emul::Cluster::execute (real bytes through rate-limited links).
-// Keeping one artifact guarantees the back-ends agree on *what* happens.
+//   * emul::Cluster::execute, schedule_windowed and the rebuild
+//     BatchDriver (real bytes through rate-limited links).
+// Hand-written per-stripe reference builders, which the differential tests
+// compare the planner with, are test oracles (tests/support/classic_plan.h).
 #pragma once
 
 #include <cstddef>
@@ -16,12 +20,8 @@
 #include <span>
 #include <vector>
 
-#include "cluster/failure.h"
-#include "cluster/placement.h"
+#include "cluster/topology.h"
 #include "cluster/types.h"
-#include "recovery/planner.h"
-#include "recovery/random_recovery.h"
-#include "rs/code.h"
 
 namespace car::recovery {
 
@@ -107,23 +107,5 @@ struct RecoveryPlan {
     std::span<const PlanStep> steps) noexcept;
 [[nodiscard]] std::vector<std::uint64_t> per_rack_cross_bytes(
     std::span<const PlanStep> steps, const cluster::Topology& topology);
-
-/// Compile a CAR multi-stripe solution into an executable plan.  Each
-/// contributing rack designates the host of its first picked chunk as
-/// aggregator; aggregators partially decode and forward one chunk to the
-/// replacement, which XOR-combines the partials (paper Algorithm 1).
-RecoveryPlan build_car_plan(const cluster::Placement& placement,
-                            const rs::Code& code,
-                            std::span<const PerStripeSolution> solutions,
-                            std::uint64_t chunk_size,
-                            cluster::NodeId replacement);
-
-/// Compile an RR multi-stripe solution: every fetched survivor is shipped
-/// directly to the replacement, which runs the full decode.
-RecoveryPlan build_rr_plan(const cluster::Placement& placement,
-                           const rs::Code& code,
-                           std::span<const RrSolution> solutions,
-                           std::uint64_t chunk_size,
-                           cluster::NodeId replacement);
 
 }  // namespace car::recovery

@@ -261,17 +261,9 @@ std::vector<std::uint64_t> PlanArena::per_rack_cross_bytes(
   return out;
 }
 
-PlanStep PlanArena::step(std::uint64_t sliced) const {
-  const std::uint64_t base = sliced / num_slices_;
-  const std::uint64_t slice = sliced % num_slices_;
-  PlanStep out;
-  out.id = static_cast<std::size_t>(sliced);
+void PlanArena::fill_step(std::uint64_t base, PlanStep& out) const {
   out.kind = kind(base);
   out.stripe = stripe(base);
-  out.deps.reserve(deps(base).size());
-  for (const std::uint64_t dep : deps(base)) {
-    out.deps.push_back(static_cast<std::size_t>(sliced_id(dep, slice)));
-  }
   out.cross_rack = cross_rack(base);
   if (out.kind == StepKind::kTransfer) {
     out.src = src(base);
@@ -284,8 +276,38 @@ PlanStep PlanArena::step(std::uint64_t sliced) const {
       out.inputs.push_back(input(base, i));
     }
   }
+}
+
+PlanStep PlanArena::step(std::uint64_t sliced) const {
+  const std::uint64_t base = sliced / num_slices_;
+  const std::uint64_t slice = sliced % num_slices_;
+  PlanStep out;
+  out.id = static_cast<std::size_t>(sliced);
+  out.deps.reserve(deps(base).size());
+  for (const std::uint64_t dep : deps(base)) {
+    out.deps.push_back(static_cast<std::size_t>(sliced_id(dep, slice)));
+  }
+  fill_step(base, out);
   out.bytes = step_bytes(base, slice);
   return out;
+}
+
+RecoveryPlan PlanArena::to_plan() const {
+  RecoveryPlan plan;
+  plan.replacement = replacement_;
+  plan.replacement_rack = replacement_rack_;
+  plan.chunk_size = chunk_size_;
+  plan.outputs.assign(outputs_.begin(), outputs_.end());
+  plan.steps.resize(static_cast<std::size_t>(num_base_steps()));
+  for (std::uint64_t base = 0; base < num_base_steps(); ++base) {
+    PlanStep& out = plan.steps[static_cast<std::size_t>(base)];
+    out.id = static_cast<std::size_t>(base);
+    out.deps.assign(deps(base).begin(), deps(base).end());
+    fill_step(base, out);
+    out.bytes = chunk_size_;
+    if (out.kind == StepKind::kCompute) out.bytes *= out.inputs.size();
+  }
+  return plan;
 }
 
 SliceInfo PlanArena::slice_info(std::uint64_t sliced) const {

@@ -219,7 +219,17 @@ class PlanArena {
   [[nodiscard]] std::vector<std::uint64_t> per_rack_cross_bytes(
       const cluster::Topology& topology) const;
 
-  // --- thin view onto the SlicePlan representation --------------------
+  // --- views -----------------------------------------------------------
+
+  /// The chunk-granular RecoveryPlan this arena represents, whatever its
+  /// slice grid: one PlanStep per base step (ids, deps and step-output
+  /// refs are base ids; transfers carry chunk_size bytes, computes
+  /// chunk_size * |inputs|) and the arena's outputs.  This is how plans
+  /// reach the consumers that walk PlanSteps — validate_plan,
+  /// simnet::simulate_plan, Cluster::execute, schedule_windowed and the
+  /// rebuild BatchDriver.  Allocating: one PlanStep per base step.
+  [[nodiscard]] RecoveryPlan to_plan() const;
+
 
   /// Materialise the PlanStep / SliceInfo for one sliced id, bit-equal to
   /// the corresponding entry of slice_plan(plan, slice_size).  Allocating —
@@ -234,6 +244,9 @@ class PlanArena {
 
  private:
   void build_reverse_deps();
+  /// Everything of base step `base` but its id, deps and bytes, which
+  /// differ between the chunk-granular and the sliced view.
+  void fill_step(std::uint64_t base, PlanStep& out) const;
 
   static constexpr std::uint8_t kComputeFlag = 1;
   static constexpr std::uint8_t kCrossRackFlag = 2;

@@ -66,9 +66,11 @@ void seal_template(PlanTemplate& tmpl) {
   }
 }
 
-/// Mirror of build_multi_car_plan's per-solution structure with survivor
-/// positions as symbols (the differential suite proves the instantiation
-/// identical).
+/// One stripe's CAR plan (paper Algorithm 1, generalised to L lost chunks)
+/// with survivor positions as symbols: gathers to each pick's aggregator,
+/// one partial per (pick, lost chunk) shipped to the replacement, one final
+/// combine per lost chunk.  The differential suite proves every
+/// instantiation equal to the classic builder's steps.
 PlanTemplate build_car_template(std::size_t num_lost,
                                 std::span<const std::size_t> pick_sizes) {
   PlanTemplate tmpl;
@@ -84,6 +86,8 @@ PlanTemplate build_car_template(std::size_t num_lost,
 
   std::size_t position = 0;
   for (const std::size_t pick_size : pick_sizes) {
+    CAR_CHECK(pick_size > 0,
+              "plan_template: a rack pick must name at least one chunk");
     // The aggregator hosts the pick's first survivor; every other pick
     // survivor lives on a different node (placement invariant), so each
     // needs a gather transfer.
@@ -139,7 +143,8 @@ PlanTemplate build_car_template(std::size_t num_lost,
   return tmpl;
 }
 
-/// Mirror of build_multi_rr_plan's per-solution structure.
+/// One stripe's RR plan: fetch every survivor not already on the
+/// replacement, then one full decode per lost chunk there.
 PlanTemplate build_rr_template(std::size_t num_lost, std::size_t num_chunks,
                                std::uint64_t skip_position_mask) {
   PlanTemplate tmpl;
@@ -195,8 +200,8 @@ std::uint64_t skip_mask(const cluster::Placement& placement,
   return mask;
 }
 
-/// Per-stripe instantiation scratch, reused across every stripe of a
-/// build_multi_*_cached / build_multi_*_arena call.
+/// Per-stripe instantiation scratch, reused across every stripe of one
+/// stream_multi_*_arena call.
 struct BindingScratch {
   std::vector<std::size_t> survivors;
   std::vector<std::span<const std::uint8_t>> coeffs;
@@ -268,100 +273,6 @@ PlanTemplate& PlanTemplateCache::rr(std::size_t num_lost,
       .emplace(scratch_,
                build_rr_template(num_lost, num_chunks, skip_position_mask))
       .first->second;
-}
-
-void append_instantiated(RecoveryPlan& plan, const PlanTemplate& tmpl,
-                         const StripeBinding& binding,
-                         const cluster::Placement& placement,
-                         cluster::NodeId replacement) {
-  const auto& topology = placement.topology();
-  const cluster::StripeId stripe = binding.stripe;
-  const auto hosts = placement.stripe(stripe);
-  const std::size_t base = plan.steps.size();
-  auto resolve = [&](std::uint32_t sym) {
-    return sym == TemplateStep::kReplacementSym
-               ? replacement
-               : hosts[binding.survivors[sym]];
-  };
-  for (const TemplateStep& ts : tmpl.steps) {
-    PlanStep step;
-    step.id = plan.steps.size();
-    step.kind = ts.kind;
-    step.stripe = stripe;
-    step.deps.reserve(ts.deps.size());
-    for (const std::uint32_t dep : ts.deps) step.deps.push_back(base + dep);
-    if (ts.kind == StepKind::kTransfer) {
-      step.src = resolve(ts.src_sym);
-      step.dst = resolve(ts.dst_sym);
-      step.payload =
-          ts.payload_is_step
-              ? BufferRef::step(base + ts.payload_ref)
-              : BufferRef::chunk(stripe, binding.survivors[ts.payload_ref]);
-      step.cross_rack =
-          topology.rack_of(step.src) != topology.rack_of(step.dst);
-      step.bytes = plan.chunk_size;
-    } else {
-      step.node = resolve(ts.src_sym);
-      step.inputs.reserve(ts.inputs.size());
-      for (const TemplateStep::Input& in : ts.inputs) {
-        if (in.is_step) {
-          step.inputs.push_back({BufferRef::step(base + in.ref), 1});
-        } else {
-          const std::size_t chunk = binding.survivors[in.ref];
-          step.inputs.push_back({BufferRef::chunk(stripe, chunk),
-                                 binding.coeffs[ts.coeff_lost][chunk]});
-        }
-      }
-      step.bytes = plan.chunk_size * step.inputs.size();
-    }
-    plan.steps.push_back(std::move(step));
-  }
-  for (const PlanTemplate::Output& out : tmpl.outputs) {
-    plan.outputs.push_back({stripe, binding.lost_chunks[out.lost_pos],
-                            base + out.final_step});
-  }
-}
-
-RecoveryPlan build_multi_car_plan_cached(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache) {
-  CAR_CHECK(chunk_size > 0,
-            "build_multi_car_plan_cached: chunk_size must be > 0");
-  RecoveryPlan plan;
-  plan.replacement = replacement;
-  plan.replacement_rack = placement.topology().rack_of(replacement);
-  plan.chunk_size = chunk_size;
-  BindingScratch scratch;
-  for (const MultiStripeSolution& solution : solutions) {
-    const PlanTemplate& tmpl = cache.car(solution);
-    append_instantiated(plan, tmpl,
-                        scratch.bind_car(code, solution, cache.repair_memo()),
-                        placement, replacement);
-  }
-  return plan;
-}
-
-RecoveryPlan build_multi_rr_plan_cached(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache) {
-  CAR_CHECK(chunk_size > 0,
-            "build_multi_rr_plan_cached: chunk_size must be > 0");
-  RecoveryPlan plan;
-  plan.replacement = replacement;
-  plan.replacement_rack = placement.topology().rack_of(replacement);
-  plan.chunk_size = chunk_size;
-  BindingScratch scratch;
-  for (const MultiRrSolution& solution : solutions) {
-    const PlanTemplate& tmpl =
-        cache.rr(solution.lost_chunks.size(), solution.chunk_indices.size(),
-                 skip_mask(placement, solution, replacement));
-    append_instantiated(plan, tmpl,
-                        scratch.bind_rr(code, solution, cache.repair_memo()),
-                        placement, replacement);
-  }
-  return plan;
 }
 
 // --- arena instantiation (defined here so plan_arena.cc need not know the
@@ -517,6 +428,8 @@ ArenaStreamBuild reserve_arena(const cluster::Placement& placement,
                                std::uint64_t slice_size,
                                cluster::NodeId replacement,
                                Resolve&& resolve) {
+  CAR_CHECK_LT(replacement, placement.topology().num_nodes(),
+               "reserve_multi_*_arena: replacement node id out of range");
   ArenaStreamBuild build;
   build.arena = PlanArena::create(
       replacement, placement.topology().rack_of(replacement), chunk_size,

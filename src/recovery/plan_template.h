@@ -30,11 +30,17 @@
 // a few dozen distinct values at datacenter scale — and the RR signature
 // (lost count, fetch count, skip-position mask).  A PlanTemplateCache runs
 // the structural planner once per signature and instantiates every other
-// stripe by remapping ids — either straight into the columnar PlanArena
-// (PlanArena::append_instantiated, zero per-stripe heap RecoveryPlan
-// objects: the scale path) or into a RecoveryPlan (the rebuild control
-// plane's per-batch path, which still validates and executes
-// chunk-granular plans).
+// stripe by remapping ids straight into the columnar PlanArena
+// (PlanArena::append_instantiated, the only instantiation there is).
+//
+// This is the one planning entry point per strategy: build_multi_car_arena
+// and build_multi_rr_arena, plus their two-phase streaming form.  Single
+// failures enter as the L = 1 case (recovery::to_multi), and callers that
+// need chunk-granular PlanSteps — validation, the flow simulator, the
+// byte-level executor, the rebuild control plane — read the arena back
+// through PlanArena::to_plan().  Hand-written per-stripe reference builders
+// are test oracles (tests/support/classic_plan.h); the differential suite
+// proves every plan equal to theirs, step for step.
 //
 // When must a stripe MISS the cache?  Exactly when its signature differs:
 // a different lost-chunk count, a different pick-size profile (e.g.
@@ -55,7 +61,6 @@
 #include "cluster/placement.h"
 #include "cluster/types.h"
 #include "recovery/multi.h"
-#include "recovery/plan.h"
 #include "recovery/plan_arena.h"
 #include "rs/code.h"
 
@@ -168,30 +173,11 @@ class PlanTemplateCache {
   TemplateStats stats_;
 };
 
-/// Append one instantiated template to a chunk-granular RecoveryPlan —
-/// the exact steps build_multi_car_plan/build_multi_rr_plan would emit for
-/// this stripe (proven by the differential suite).
-void append_instantiated(RecoveryPlan& plan, const PlanTemplate& tmpl,
-                         const StripeBinding& binding,
-                         const cluster::Placement& placement,
-                         cluster::NodeId replacement);
-
-/// Template-cached equivalents of the recovery/multi plan builders: same
-/// RecoveryPlan, bit for bit, with the structural planner run once per
-/// signature.
-RecoveryPlan build_multi_car_plan_cached(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache);
-RecoveryPlan build_multi_rr_plan_cached(
-    const cluster::Placement& placement, const rs::Code& code,
-    std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
-    cluster::NodeId replacement, PlanTemplateCache& cache);
-
-/// Template-direct arena builders: lower every solution straight into a
-/// columnar PlanArena without materialising a single per-stripe PlanStep.
-/// Bit-identical to PlanArena::build(build_multi_*_plan(...), slice_size)
-/// — the scale path's planner.
+/// The planners: lower every solution straight into a columnar PlanArena
+/// on a `slice_size` grid (pass chunk_size for a chunk-granular plan)
+/// without materialising a single per-stripe PlanStep.  Throws
+/// util::CheckError when chunk_size or slice_size is 0 or `replacement` is
+/// not a node of the placement's topology.
 PlanArena build_multi_car_arena(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,

@@ -5,7 +5,9 @@
 
 #include "recovery/balancer.h"
 #include "recovery/metrics.h"
+#include "recovery/multi.h"
 #include "recovery/plan.h"
+#include "recovery/plan_template.h"
 #include "rs/code.h"
 #include "simnet/flowsim.h"
 #include "util/check.h"
@@ -37,6 +39,7 @@ TraceReport run_failure_trace(const cluster::Placement& placement,
                               const simnet::NetConfig& net, util::Rng& rng) {
   CAR_CHECK(chunk_size > 0, "run_failure_trace: chunk_size must be > 0");
   const rs::Code code(placement.k(), placement.m());
+  recovery::PlanTemplateCache templates;  // signatures recur across failures
   TraceReport report;
   std::vector<std::size_t> per_rack(placement.topology().num_racks(), 0);
   std::size_t total_cross_chunks = 0;
@@ -56,13 +59,17 @@ TraceReport run_failure_trace(const cluster::Placement& placement,
       summary = recovery::car_traffic(balanced.solutions,
                                       placement.topology().num_racks(),
                                       scenario.failed_rack);
-      plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                      chunk_size, scenario.failed_node);
+      plan = recovery::build_multi_car_arena(
+                 placement, code, recovery::to_multi(balanced.solutions),
+                 chunk_size, chunk_size, scenario.failed_node, templates)
+                 .to_plan();
     } else {
       const auto rr = recovery::plan_rr(placement, censuses, rng);
       summary = recovery::rr_traffic(placement, rr, scenario.failed_rack);
-      plan = recovery::build_rr_plan(placement, code, rr, chunk_size,
-                                     scenario.failed_node);
+      plan = recovery::build_multi_rr_arena(
+                 placement, code, recovery::to_multi(rr), chunk_size,
+                 chunk_size, scenario.failed_node, templates)
+                 .to_plan();
     }
 
     const auto sim = simnet::simulate_plan(placement.topology(), plan, net);

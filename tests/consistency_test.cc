@@ -8,6 +8,7 @@
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
 #include "simnet/flowsim.h"
+#include "classic_plan.h"
 
 namespace car {
 namespace {
@@ -44,7 +45,7 @@ TEST_P(CrossBackend, SimulatedMakespanRespectsBandwidthLowerBounds) {
   constexpr std::uint64_t kChunk = 8ull << 20;
   const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
                                                  {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
 
   simnet::NetConfig net;
@@ -91,7 +92,7 @@ TEST_P(CrossBackend, CountingSimulationAndEmulationAgreeOnBytes) {
   constexpr std::uint64_t kChunk = 16 * 1024;
   const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
                                                  {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
 
   // Counting back-end.
@@ -128,7 +129,7 @@ TEST_P(CrossBackend, EmulatedRecoveryMatchesCodecGroundTruth) {
 
   const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
                                                  {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
   cluster.execute(plan);
 
@@ -154,7 +155,7 @@ TEST_P(CrossBackend, BackgroundLoadSlowsRecoveryProportionally) {
   constexpr std::uint64_t kChunk = 4ull << 20;
   const auto balanced = recovery::balance_greedy(s.placement, s.censuses,
                                                  {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       s.placement, s.code, balanced.solutions, kChunk, s.failure.failed_node);
 
   simnet::NetConfig idle;

@@ -10,6 +10,7 @@
 #include "recovery/balancer.h"
 #include "recovery/scheduler.h"
 #include "util/check.h"
+#include "classic_plan.h"
 
 namespace car::emul {
 namespace {
@@ -160,7 +161,7 @@ struct RecoveryFixture {
 TEST(ClusterExecute, CarPlanRecoversEveryLostChunkBitExactly) {
   RecoveryFixture f(0, 101, 12, 64 * 1024);
   const auto balanced = recovery::balance_greedy(f.placement, f.censuses, {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       f.placement, f.code, balanced.solutions, 64 * 1024,
       f.scenario.failed_node);
   const auto report = f.cluster.execute(plan);
@@ -177,8 +178,8 @@ TEST(ClusterExecute, RrPlanRecoversEveryLostChunkBitExactly) {
   RecoveryFixture f(1, 202, 10, 64 * 1024);
   util::Rng rng(7);
   const auto rr = recovery::plan_rr(f.placement, f.censuses, rng);
-  const auto plan = recovery::build_rr_plan(f.placement, f.code, rr, 64 * 1024,
-                                            f.scenario.failed_node);
+  const auto plan = oracle::build_rr_plan(f.placement, f.code, rr, 64 * 1024,
+                                          f.scenario.failed_node);
   const auto report = f.cluster.execute(plan);
   f.verify_recovered();
   EXPECT_EQ(report.cross_rack_bytes, plan.cross_rack_bytes());
@@ -187,7 +188,7 @@ TEST(ClusterExecute, RrPlanRecoversEveryLostChunkBitExactly) {
 TEST(ClusterExecute, Cfs3CarAndRrAgreeOnRecoveredBytes) {
   RecoveryFixture f(2, 303, 8, 32 * 1024);
   const auto balanced = recovery::balance_greedy(f.placement, f.censuses, {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       f.placement, f.code, balanced.solutions, 32 * 1024,
       f.scenario.failed_node);
   f.cluster.execute(plan);
@@ -197,7 +198,7 @@ TEST(ClusterExecute, Cfs3CarAndRrAgreeOnRecoveredBytes) {
 TEST(ClusterExecute, MissingBufferRaises) {
   RecoveryFixture f(0, 404, 4, 4 * 1024);
   const auto solutions = recovery::plan_car_initial(f.placement, f.censuses);
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       f.placement, f.code, solutions, 4 * 1024, f.scenario.failed_node);
   // Erase a node that still hosts survivor chunks referenced by the plan:
   // pick the first aggregator (source of the first transfer or compute).
@@ -286,7 +287,7 @@ TEST(ClusterExecute, VirtualClockRecoversBitExactlyAndDeterministically) {
     RecoveryFixture f(0, 101, 12, 64 * 1024, virtual_config());
     const auto balanced =
         recovery::balance_greedy(f.placement, f.censuses, {50});
-    const auto plan = recovery::build_car_plan(
+    const auto plan = oracle::build_car_plan(
         f.placement, f.code, balanced.solutions, 64 * 1024,
         f.scenario.failed_node);
     const auto report = f.cluster.execute(plan);
@@ -316,7 +317,7 @@ TEST(ClusterExecute, VirtualClockThousandStripeSweepIsFast) {
   RecoveryFixture f(1, 707, 1000, 1024, virtual_config());
   const auto balanced = recovery::balance_greedy(f.placement, f.censuses,
                                                  {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       f.placement, f.code, balanced.solutions, 1024, f.scenario.failed_node);
   const auto t0 = std::chrono::steady_clock::now();
   const auto report = f.cluster.execute(plan);
@@ -334,7 +335,7 @@ TEST(ClusterExecute, WindowedVirtualPlanNeverBeatsUnwindowed) {
   RecoveryFixture f(0, 515, 16, 32 * 1024, virtual_config());
   const auto balanced = recovery::balance_greedy(f.placement, f.censuses,
                                                  {50});
-  const auto plan = recovery::build_car_plan(
+  const auto plan = oracle::build_car_plan(
       f.placement, f.code, balanced.solutions, 32 * 1024,
       f.scenario.failed_node);
   RecoveryFixture g(0, 515, 16, 32 * 1024, virtual_config());

@@ -9,6 +9,7 @@
 #include "recovery/balancer.h"
 #include "recovery/scheduler.h"
 #include "simnet/flowsim.h"
+#include "classic_plan.h"
 
 namespace car {
 namespace {
@@ -110,12 +111,12 @@ TEST_P(PipelineFuzz, InvariantsHoldOnRandomClusters) {
     // principle tie, so assert <=.
     const rs::Code code(rc.k, rc.m);
     constexpr std::uint64_t kChunk = 1ull << 20;
-    const auto car_plan = recovery::build_car_plan(
+    const auto car_plan = oracle::build_car_plan(
         rc.placement, code, balanced.solutions, kChunk,
         scenario.failed_node);
     ASSERT_EQ(car_plan.cross_rack_bytes(), t1.total_bytes(kChunk));
-    const auto rr_plan = recovery::build_rr_plan(rc.placement, code, rr,
-                                                 kChunk, scenario.failed_node);
+    const auto rr_plan = oracle::build_rr_plan(rc.placement, code, rr,
+                                               kChunk, scenario.failed_node);
     ASSERT_EQ(rr_plan.cross_rack_bytes(), rr_sum.total_bytes(kChunk));
 
     const simnet::NetConfig net;
@@ -152,7 +153,7 @@ TEST(PipelineFuzz, ExhaustiveSmallClusterEveryFailure) {
     if (scenario.lost.empty()) continue;
     const auto censuses = recovery::build_censuses(placement, scenario);
     const auto balanced = recovery::balance_greedy(placement, censuses, {60});
-    const auto plan = recovery::build_car_plan(
+    const auto plan = oracle::build_car_plan(
         placement, code, balanced.solutions, 4096, node);
     EXPECT_EQ(plan.outputs.size(), scenario.lost.size());
     const auto sim =

@@ -18,6 +18,7 @@
 #include "recovery/plan.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "classic_plan.h"
 
 namespace car::inject {
 namespace {
@@ -52,8 +53,8 @@ struct Env {
     cluster->erase_node(kFailed);
     const auto censuses = recovery::build_censuses(*placement, failure);
     const auto balanced = recovery::balance_greedy(*placement, censuses, {50});
-    plan = recovery::build_car_plan(*placement, code, balanced.solutions,
-                                    kChunk, kFailed);
+    plan = oracle::build_car_plan(*placement, code, balanced.solutions,
+                                  kChunk, kFailed);
   }
 
   [[nodiscard]] ReplanContext context() const {

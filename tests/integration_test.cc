@@ -8,6 +8,7 @@
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
 #include "simnet/flowsim.h"
+#include "classic_plan.h"
 
 namespace car {
 namespace {
@@ -57,14 +58,14 @@ TEST_P(FullPipeline, CarBeatsRrAndBothRecoverBitExactly) {
 
   // --- CAR ---
   const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-  const auto car_plan = recovery::build_car_plan(
+  const auto car_plan = oracle::build_car_plan(
       placement, code, balanced.solutions, kChunkSize, scenario.failed_node);
   const auto car_report = cluster_car.execute(car_plan);
 
   // --- RR ---
   const auto rr = recovery::plan_rr(placement, censuses, rng_);
-  const auto rr_plan = recovery::build_rr_plan(placement, code, rr, kChunkSize,
-                                               scenario.failed_node);
+  const auto rr_plan = oracle::build_rr_plan(placement, code, rr, kChunkSize,
+                                             scenario.failed_node);
   const auto rr_report = cluster_rr.execute(rr_plan);
 
   // Bit-exact recovery on both paths.
@@ -127,7 +128,7 @@ TEST(FullPipelineEdge, EveryNodeFailureInCfs1IsRecoverable) {
     if (scenario.lost.empty()) continue;
     const auto censuses = recovery::build_censuses(placement, scenario);
     const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-    const auto plan = recovery::build_car_plan(
+    const auto plan = oracle::build_car_plan(
         placement, code, balanced.solutions, 4096, node);
     const auto summary = recovery::car_traffic(
         balanced.solutions, placement.topology().num_racks(),

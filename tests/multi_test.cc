@@ -5,12 +5,17 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/configs.h"
 #include "emul/cluster.h"
 #include "recovery/balancer.h"
+#include "recovery/plan_template.h"
+#include "recovery/weighted.h"
 #include "util/check.h"
+#include "classic_plan.h"
+#include "plan_equal.h"
 
 namespace car::recovery {
 namespace {
@@ -78,6 +83,55 @@ TEST(MultiFailure, SingleFailureIsASpecialCase) {
             multi_traffic(multi_balanced.solutions, racks,
                           multi.replacement_rack)
                 .total_chunks());
+
+  // Plans: a single-failure solution converted to its L = 1 multi-failure
+  // form plans, through the one planner per strategy, to exactly the
+  // classic single-failure oracle's plan, step for step — for greedy CAR,
+  // bandwidth-weighted CAR and RR.
+  constexpr std::uint64_t kChunk = 4096;
+  for (const int cfg_index : {0, 1, 2}) {
+    for (const std::uint64_t seed : {5u, 23u, 71u}) {
+      SCOPED_TRACE("cfs" + std::to_string(cfg_index + 1) + " seed " +
+                   std::to_string(seed));
+      const auto paper = cluster::paper_configs()[cfg_index];
+      const auto placement = make_placement(paper, 40, seed);
+      util::Rng rng(seed + 1);
+      const auto failure = cluster::inject_random_failure(placement, rng);
+      const auto censuses = build_censuses(placement, failure);
+      ASSERT_FALSE(censuses.empty());
+      const rs::Code code(paper.k, paper.m);
+      const cluster::NodeId replacement = failure.failed_node;
+      PlanTemplateCache templates;  // CAR and RR keys never collide
+
+      const auto greedy = balance_greedy(placement, censuses, {50});
+      oracle::expect_plan_equal(
+          build_multi_car_arena(placement, code, to_multi(greedy.solutions),
+                                kChunk, kChunk, replacement, templates)
+              .to_plan(),
+          oracle::build_car_plan(placement, code, greedy.solutions, kChunk,
+                                 replacement));
+
+      std::vector<double> bandwidth(placement.topology().num_racks());
+      for (std::size_t i = 0; i < bandwidth.size(); ++i) {
+        bandwidth[i] = 1.0 + static_cast<double>(i % 3);
+      }
+      const auto weighted = balance_weighted(placement, censuses, bandwidth);
+      oracle::expect_plan_equal(
+          build_multi_car_arena(placement, code, to_multi(weighted.solutions),
+                                kChunk, kChunk, replacement, templates)
+              .to_plan(),
+          oracle::build_car_plan(placement, code, weighted.solutions, kChunk,
+                                 replacement));
+
+      util::Rng rr_rng(seed + 2);
+      const auto rr = plan_rr(placement, censuses, rr_rng);
+      oracle::expect_plan_equal(
+          build_multi_rr_arena(placement, code, to_multi(rr), kChunk, kChunk,
+                               replacement, templates)
+              .to_plan(),
+          oracle::build_rr_plan(placement, code, rr, kChunk, replacement));
+    }
+  }
 }
 
 TEST(MultiFailure, UnrecoverableStripeThrows) {
@@ -262,8 +316,8 @@ TEST(MultiFailure, EmulatedRecoveryIsBitExactForDoubleFailure) {
   ASSERT_FALSE(censuses.empty());
 
   const auto balanced = balance_multi(p, censuses, 50);
-  const auto plan = build_multi_car_plan(p, code, balanced.solutions, kChunk,
-                                         scenario.replacement);
+  const auto plan = oracle::build_multi_car_plan(p, code, balanced.solutions,
+                                                 kChunk, scenario.replacement);
   cluster.execute(plan);
 
   for (const auto& census : censuses) {
@@ -297,7 +351,7 @@ TEST(MultiFailure, EmulatedRrRecoveryIsBitExact) {
   util::Rng rr_rng(79);
   const auto rr = plan_multi_rr(p, censuses, rr_rng);
   const auto plan =
-      build_multi_rr_plan(p, code, rr, kChunk, scenario.replacement);
+      oracle::build_multi_rr_plan(p, code, rr, kChunk, scenario.replacement);
   cluster.execute(plan);
 
   for (const auto& census : censuses) {
@@ -350,8 +404,8 @@ TEST(MultiFailure, TrafficAccountingMatchesPlanBytes) {
   const auto censuses = build_multi_censuses(p, scenario);
   const auto balanced = balance_multi(p, censuses, 50);
   constexpr std::uint64_t kChunk = 4096;
-  const auto plan = build_multi_car_plan(p, code, balanced.solutions, kChunk,
-                                         scenario.replacement);
+  const auto plan = oracle::build_multi_car_plan(p, code, balanced.solutions,
+                                                 kChunk, scenario.replacement);
   const auto summary = multi_traffic(
       balanced.solutions, p.topology().num_racks(), scenario.replacement_rack);
   EXPECT_EQ(plan.cross_rack_bytes(), summary.total_bytes(kChunk));
@@ -359,7 +413,7 @@ TEST(MultiFailure, TrafficAccountingMatchesPlanBytes) {
   util::Rng rng(11);
   const auto rr = plan_multi_rr(p, censuses, rng);
   const auto rr_plan =
-      build_multi_rr_plan(p, code, rr, kChunk, scenario.replacement);
+      oracle::build_multi_rr_plan(p, code, rr, kChunk, scenario.replacement);
   const auto rr_summary =
       multi_rr_traffic(p, rr, scenario.replacement_rack);
   EXPECT_EQ(rr_plan.cross_rack_bytes(), rr_summary.total_bytes(kChunk));

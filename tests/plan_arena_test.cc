@@ -21,6 +21,7 @@
 #include "recovery/slice.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "classic_plan.h"
 
 namespace car {
 namespace {
@@ -61,8 +62,8 @@ Fixture make_fixture(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
   const auto censuses = recovery::build_censuses(placement, failure);
   const auto balanced = recovery::balance_greedy(placement, censuses, {50});
   rs::Code code(cfg.k, cfg.m);
-  auto plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                       chunk, failure.failed_node);
+  auto plan = oracle::build_car_plan(placement, code, balanced.solutions,
+                                     chunk, failure.failed_node);
   if (window > 0) plan = recovery::schedule_windowed(plan, window);
   return {std::move(placement), std::move(failure), std::move(plan),
           std::move(code)};
@@ -345,7 +346,7 @@ TEST(ExecuteArena, HundredThousandStripeMetadataSmoke) {
   const auto censuses = recovery::build_multi_censuses(placement, mf);
   ASSERT_FALSE(censuses.empty());
   const auto balanced = recovery::balance_multi(placement, censuses, 0);
-  const auto plan = recovery::build_multi_car_plan(
+  const auto plan = oracle::build_multi_car_plan(
       placement, code, balanced.solutions, kChunk, mf.replacement);
   const auto arena = PlanArena::build(plan, kChunk);
   EXPECT_TRUE(arena.stripe_closed());

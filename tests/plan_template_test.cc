@@ -1,9 +1,10 @@
-// Template-cache differential tests: plans instantiated from cached
-// signatures must be the *same function* as the classic per-stripe
-// planners — bit-equal RecoveryPlans, bit-equal arenas (columns, reverse
-// CSR, outputs, accounting), a collapsing signature space, canonical
-// decode-coefficient memoisation, shard-invariant scans, and real-byte
-// decode through a template-cached arena.
+// Template-cache differential tests: the production planner
+// (build_multi_*_arena, read back through PlanArena::to_plan()) must be the
+// *same function* as the classic per-stripe oracles — bit-equal
+// RecoveryPlans, bit-equal arenas (columns, reverse CSR, outputs,
+// accounting), a collapsing signature space, canonical decode-coefficient
+// memoisation, shard-invariant scans, and real-byte decode through a
+// template-cached arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,8 @@
 #include "recovery/slice.h"
 #include "rs/code.h"
 #include "util/rng.h"
+#include "classic_plan.h"
+#include "plan_equal.h"
 
 namespace car {
 namespace {
@@ -30,7 +33,7 @@ using recovery::MultiFailureScenario;
 using recovery::MultiStripeCensus;
 using recovery::PlanArena;
 using recovery::PlanTemplateCache;
-using recovery::RecoveryPlan;
+using oracle::expect_plan_equal;
 
 constexpr std::uint64_t kChunk = 96 * 1024 + 7;  // no slice size divides it
 
@@ -72,38 +75,6 @@ Fixture make_fixture(int cfg_index, std::uint64_t seed, std::size_t stripes,
   auto censuses = recovery::build_multi_censuses(placement, scenario);
   return {std::move(placement), std::move(code), std::move(scenario),
           std::move(censuses)};
-}
-
-void expect_plan_equal(const RecoveryPlan& a, const RecoveryPlan& b) {
-  EXPECT_EQ(a.replacement, b.replacement);
-  EXPECT_EQ(a.replacement_rack, b.replacement_rack);
-  EXPECT_EQ(a.chunk_size, b.chunk_size);
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    const auto& x = a.steps[i];
-    const auto& y = b.steps[i];
-    EXPECT_EQ(x.id, y.id) << "step " << i;
-    EXPECT_EQ(x.kind, y.kind) << "step " << i;
-    EXPECT_EQ(x.stripe, y.stripe) << "step " << i;
-    EXPECT_EQ(x.deps, y.deps) << "step " << i;
-    EXPECT_EQ(x.src, y.src) << "step " << i;
-    EXPECT_EQ(x.dst, y.dst) << "step " << i;
-    EXPECT_EQ(x.payload, y.payload) << "step " << i;
-    EXPECT_EQ(x.cross_rack, y.cross_rack) << "step " << i;
-    EXPECT_EQ(x.node, y.node) << "step " << i;
-    EXPECT_EQ(x.bytes, y.bytes) << "step " << i;
-    ASSERT_EQ(x.inputs.size(), y.inputs.size()) << "step " << i;
-    for (std::size_t j = 0; j < x.inputs.size(); ++j) {
-      EXPECT_EQ(x.inputs[j].buffer, y.inputs[j].buffer) << "step " << i;
-      EXPECT_EQ(x.inputs[j].coeff, y.inputs[j].coeff) << "step " << i;
-    }
-  }
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (std::size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_EQ(a.outputs[i].stripe, b.outputs[i].stripe);
-    EXPECT_EQ(a.outputs[i].chunk_index, b.outputs[i].chunk_index);
-    EXPECT_EQ(a.outputs[i].step_id, b.outputs[i].step_id);
-  }
 }
 
 void expect_arena_equal(const PlanArena& a, const PlanArena& b) {
@@ -150,7 +121,7 @@ void expect_arena_equal(const PlanArena& a, const PlanArena& b) {
   EXPECT_EQ(a.compute_bytes(), b.compute_bytes());
 }
 
-// --- cached plans == classic plans, bit for bit --------------------------
+// --- the arena view == the classic plans, bit for bit ------------------
 
 TEST(PlanTemplateCache, CarCachedPlanMatchesClassicAcrossConfigs) {
   for (const int cfg_index : {0, 1, 2}) {
@@ -162,13 +133,15 @@ TEST(PlanTemplateCache, CarCachedPlanMatchesClassicAcrossConfigs) {
           make_fixture(cfg_index, seed, /*stripes=*/40, racks, nodes);
       const auto balanced =
           recovery::balance_multi(fx.placement, fx.censuses);
-      const auto classic = recovery::build_multi_car_plan(
+      const auto classic = oracle::build_multi_car_plan(
           fx.placement, fx.code, balanced.solutions, kChunk,
           fx.scenario.replacement);
       PlanTemplateCache cache;
-      const auto cached = recovery::build_multi_car_plan_cached(
-          fx.placement, fx.code, balanced.solutions, kChunk,
-          fx.scenario.replacement, cache);
+      const auto cached =
+          recovery::build_multi_car_arena(fx.placement, fx.code,
+                                          balanced.solutions, kChunk, kChunk,
+                                          fx.scenario.replacement, cache)
+              .to_plan();
       expect_plan_equal(cached, classic);
       EXPECT_EQ(cache.stats().hits + cache.stats().misses,
                 balanced.solutions.size());
@@ -183,41 +156,75 @@ TEST(PlanTemplateCache, RrCachedPlanMatchesClassic) {
     util::Rng rr_rng(77);
     const auto solutions =
         recovery::plan_multi_rr(fx.placement, fx.censuses, rr_rng);
-    const auto classic = recovery::build_multi_rr_plan(
+    const auto classic = oracle::build_multi_rr_plan(
         fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement);
     PlanTemplateCache cache;
-    const auto cached = recovery::build_multi_rr_plan_cached(
-        fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement,
-        cache);
+    const auto cached =
+        recovery::build_multi_rr_arena(fx.placement, fx.code, solutions,
+                                       kChunk, kChunk,
+                                       fx.scenario.replacement, cache)
+            .to_plan();
     expect_plan_equal(cached, classic);
   }
 }
 
 TEST(PlanTemplateCache, OntoReplacementMatchesClassic) {
-  // The rebuild control plane's shape: an explicit replacement that hosts
-  // no failed chunk, so fetch positions never resolve to it for free.
+  // The rebuild control plane's shape: the replacement is the first failed
+  // node, its lost chunks were already recovered onto it, and a later
+  // batch's failure signature omits it — so those chunks count as
+  // surviving and resolve to the replacement itself.  CAR picks gather
+  // onto it or ship a partial to it from itself; RR skips fetching them.
   const auto cfg = cluster::paper_configs()[1];
   util::Rng rng(31);
   auto placement =
       cluster::Placement::random(cfg.topology(), cfg.k, cfg.m, 30, rng);
   const auto& topology = placement.topology();
+  const cluster::NodeId replacement = topology.nodes_in_rack(0).front();
   std::vector<cluster::NodeId> failed;
   for (const auto node : topology.nodes_in_rack(1)) {
     failed.push_back(node);
-    if (failed.size() >= cfg.m) break;
+    if (failed.size() >= cfg.m - 1) break;  // + the recovered replacement
   }
-  const cluster::NodeId replacement = topology.nodes_in_rack(0).front();
   const auto scenario =
       recovery::make_multi_failure_onto(placement, failed, replacement);
   const auto censuses = recovery::build_multi_censuses(placement, scenario);
-  const auto balanced = recovery::balance_multi(placement, censuses);
+  ASSERT_FALSE(censuses.empty());
+  std::size_t on_replacement = 0;
+  for (const auto& census : censuses) {
+    const auto hosts = placement.stripe(census.stripe);
+    on_replacement += static_cast<std::size_t>(
+        std::count(hosts.begin(), hosts.end(), replacement));
+  }
+  ASSERT_GT(on_replacement, 0u)
+      << "no affected stripe has a recovered chunk on the replacement";
   rs::Code code(cfg.k, cfg.m);
-  const auto classic = recovery::build_multi_car_plan(
-      placement, code, balanced.solutions, kChunk, replacement);
-  PlanTemplateCache cache;
-  const auto cached = recovery::build_multi_car_plan_cached(
-      placement, code, balanced.solutions, kChunk, replacement, cache);
-  expect_plan_equal(cached, classic);
+  PlanTemplateCache cache;  // shared by both strategies, as in a rebuild
+
+  const auto balanced = recovery::balance_multi(placement, censuses);
+  const auto car = recovery::build_multi_car_arena(
+                       placement, code, balanced.solutions, kChunk, kChunk,
+                       replacement, cache)
+                       .to_plan();
+  expect_plan_equal(car, oracle::build_multi_car_plan(
+                             placement, code, balanced.solutions, kChunk,
+                             replacement));
+
+  util::Rng rr_rng(32);
+  const auto rr = recovery::plan_multi_rr(placement, censuses, rr_rng);
+  const auto rr_plan =
+      recovery::build_multi_rr_arena(placement, code, rr, kChunk, kChunk,
+                                     replacement, cache)
+          .to_plan();
+  expect_plan_equal(rr_plan, oracle::build_multi_rr_plan(
+                                 placement, code, rr, kChunk, replacement));
+  std::size_t skipped = 0;
+  for (const auto& solution : rr) {
+    const auto hosts = placement.stripe(solution.stripe);
+    for (const std::size_t chunk : solution.chunk_indices) {
+      skipped += hosts[chunk] == replacement;
+    }
+  }
+  EXPECT_EQ(rr_plan.num_transfers(), rr.size() * cfg.k - skipped);
 }
 
 // --- templated arena == classic lowering, including the reverse CSR ------
@@ -226,7 +233,7 @@ TEST(PlanTemplateCache, TemplatedCarArenaMatchesClassicLowering) {
   const auto fx =
       make_fixture(1, 41, /*stripes=*/50, /*failed_racks=*/1, 0);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  const auto classic_plan = recovery::build_multi_car_plan(
+  const auto classic_plan = oracle::build_multi_car_plan(
       fx.placement, fx.code, balanced.solutions, kChunk,
       fx.scenario.replacement);
   for (const std::uint64_t slice : {std::uint64_t{16 * 1024}, kChunk}) {
@@ -236,6 +243,8 @@ TEST(PlanTemplateCache, TemplatedCarArenaMatchesClassicLowering) {
         fx.placement, fx.code, balanced.solutions, kChunk, slice,
         fx.scenario.replacement, cache);
     expect_arena_equal(templated, classic);
+    // The chunk-granular view does not depend on the slice grid.
+    expect_plan_equal(templated.to_plan(), classic_plan);
   }
 }
 
@@ -245,7 +254,7 @@ TEST(PlanTemplateCache, TemplatedRrArenaMatchesClassicLowering) {
   util::Rng rr_rng(5);
   const auto solutions =
       recovery::plan_multi_rr(fx.placement, fx.censuses, rr_rng);
-  const auto classic_plan = recovery::build_multi_rr_plan(
+  const auto classic_plan = oracle::build_multi_rr_plan(
       fx.placement, fx.code, solutions, kChunk, fx.scenario.replacement);
   const auto classic = PlanArena::build(classic_plan, 16 * 1024);
   PlanTemplateCache cache;

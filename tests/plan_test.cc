@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "cluster/configs.h"
 #include "recovery/balancer.h"
+#include "recovery/multi.h"
+#include "recovery/plan_template.h"
 
 namespace car::recovery {
 namespace {
@@ -33,6 +37,25 @@ struct Fixture {
   }
 };
 
+// Single-failure plans the way production builds them: the L = 1 case of
+// the one planner per strategy, read back as chunk-granular steps.
+RecoveryPlan car_plan(const Fixture& f,
+                      std::span<const PerStripeSolution> solutions,
+                      std::uint64_t chunk) {
+  PlanTemplateCache templates;
+  return build_multi_car_arena(f.placement, f.code, to_multi(solutions),
+                               chunk, chunk, f.scenario.failed_node, templates)
+      .to_plan();
+}
+
+RecoveryPlan rr_plan(const Fixture& f, std::span<const RrSolution> solutions,
+                     std::uint64_t chunk) {
+  PlanTemplateCache templates;
+  return build_multi_rr_arena(f.placement, f.code, to_multi(solutions), chunk,
+                              chunk, f.scenario.failed_node, templates)
+      .to_plan();
+}
+
 void check_dag(const RecoveryPlan& plan) {
   // Deps reference earlier steps only (the builders emit topologically).
   for (const auto& step : plan.steps) {
@@ -49,8 +72,7 @@ TEST_P(PlanSweep, CarPlanMatchesAnalyticTrafficAccounting) {
   Fixture f(std::get<0>(GetParam()), std::get<1>(GetParam()));
   const auto balanced = balance_greedy(f.placement, f.censuses, {50});
   constexpr std::uint64_t kChunk = 1 << 20;
-  const auto plan = build_car_plan(f.placement, f.code, balanced.solutions,
-                                   kChunk, f.scenario.failed_node);
+  const auto plan = car_plan(f, balanced.solutions, kChunk);
   check_dag(plan);
 
   const auto summary =
@@ -71,8 +93,7 @@ TEST_P(PlanSweep, RrPlanMatchesAnalyticTrafficAccounting) {
   util::Rng rng(std::get<1>(GetParam()) + 5);
   const auto rr = plan_rr(f.placement, f.censuses, rng);
   constexpr std::uint64_t kChunk = 1 << 18;
-  const auto plan =
-      build_rr_plan(f.placement, f.code, rr, kChunk, f.scenario.failed_node);
+  const auto plan = rr_plan(f, rr, kChunk);
   check_dag(plan);
 
   const auto summary = rr_traffic(f.placement, rr, f.scenario.failed_rack);
@@ -98,8 +119,7 @@ INSTANTIATE_TEST_SUITE_P(PaperConfigsAndSeeds, PlanSweep,
 TEST(CarPlan, StructurePerStripe) {
   Fixture f(0, 3, 5);
   const auto solutions = plan_car_initial(f.placement, f.censuses);
-  const auto plan = build_car_plan(f.placement, f.code, solutions, 4096,
-                                   f.scenario.failed_node);
+  const auto plan = car_plan(f, solutions, 4096);
 
   // Per stripe: one partial-decode compute per contributing rack, one
   // partial shipment per contributing rack, one final combine.
@@ -134,21 +154,53 @@ TEST(CarPlan, StructurePerStripe) {
 TEST(Plan, ZeroChunkSizeRejected) {
   Fixture f(0, 4, 2);
   const auto solutions = plan_car_initial(f.placement, f.censuses);
-  EXPECT_THROW(build_car_plan(f.placement, f.code, solutions, 0,
-                              f.scenario.failed_node),
-               std::invalid_argument);
+  EXPECT_THROW(car_plan(f, solutions, 0), std::invalid_argument);
   util::Rng rng(8);
   const auto rr = plan_rr(f.placement, f.censuses, rng);
-  EXPECT_THROW(
-      build_rr_plan(f.placement, f.code, rr, 0, f.scenario.failed_node),
-      std::invalid_argument);
+  EXPECT_THROW(rr_plan(f, rr, 0), std::invalid_argument);
+  // A zero slice is rejected the same way.
+  PlanTemplateCache templates;
+  EXPECT_THROW(build_multi_car_arena(f.placement, f.code, to_multi(solutions),
+                                     4096, 0, f.scenario.failed_node,
+                                     templates),
+               std::invalid_argument);
+}
+
+TEST(Plan, ReplacementOutOfRangeRejected) {
+  Fixture f(0, 4, 2);
+  const auto solutions = to_multi(plan_car_initial(f.placement, f.censuses));
+  util::Rng rng(8);
+  const auto rr = to_multi(plan_rr(f.placement, f.censuses, rng));
+  const cluster::NodeId bad = f.placement.topology().num_nodes();
+  PlanTemplateCache templates;
+  EXPECT_THROW(build_multi_car_arena(f.placement, f.code, solutions, 4096,
+                                     4096, bad, templates),
+               std::invalid_argument);
+  EXPECT_THROW(build_multi_rr_arena(f.placement, f.code, rr, 4096, 4096, bad,
+                                    templates),
+               std::invalid_argument);
+  EXPECT_THROW(reserve_multi_car_arena(f.placement, solutions, 4096, 4096,
+                                       bad, templates),
+               std::invalid_argument);
+}
+
+TEST(Plan, EmptyRackPickRejected) {
+  // Every pick names at least its aggregator's chunk; an empty one has no
+  // aggregator to plan around.
+  Fixture f(0, 4, 2);
+  auto solutions = to_multi(plan_car_initial(f.placement, f.censuses));
+  ASSERT_FALSE(solutions.empty());
+  solutions.front().picks.push_back({0, {}});
+  PlanTemplateCache templates;
+  EXPECT_THROW(build_multi_car_arena(f.placement, f.code, solutions, 4096,
+                                     4096, f.scenario.failed_node, templates),
+               std::invalid_argument);
 }
 
 TEST(Plan, IntraPlusCrossEqualsAllTransferBytes) {
   Fixture f(2, 9, 20);
   const auto solutions = plan_car_initial(f.placement, f.censuses);
-  const auto plan = build_car_plan(f.placement, f.code, solutions, 1024,
-                                   f.scenario.failed_node);
+  const auto plan = car_plan(f, solutions, 1024);
   std::uint64_t all = 0;
   for (const auto& step : plan.steps) {
     if (step.kind == StepKind::kTransfer) all += step.bytes;

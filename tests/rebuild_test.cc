@@ -38,6 +38,7 @@
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "classic_plan.h"
 
 namespace car::rebuild {
 namespace {
@@ -384,9 +385,9 @@ TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   // Two batches over disjoint stripe subsets of the same failure: all but
   // one stripe in batch 0, the last stripe in batch 1.
   const std::span<const recovery::PerStripeSolution> all(balanced.solutions);
-  const auto plan_a = recovery::build_car_plan(
+  const auto plan_a = oracle::build_car_plan(
       placement, code, all.subspan(0, all.size() - 1), kChunk, failed);
-  const auto plan_b = recovery::build_car_plan(
+  const auto plan_b = oracle::build_car_plan(
       placement, code, all.subspan(all.size() - 1), kChunk, failed);
 
   // Drop the first attempt of one real transfer of batch 0, with a huge
@@ -471,7 +472,7 @@ TEST(BatchDriver, StepsStartAfterEveryDependencyFinishes) {
     cluster.erase_node(failure.failed_node);
     const auto censuses = recovery::build_censuses(placement, failure);
     const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-    const auto plan = recovery::build_car_plan(
+    const auto plan = oracle::build_car_plan(
         placement, code, balanced.solutions, kChunk, failure.failed_node);
 
     inject::EventLog log;

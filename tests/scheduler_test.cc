@@ -7,6 +7,7 @@
 #include "cluster/configs.h"
 #include "recovery/balancer.h"
 #include "simnet/flowsim.h"
+#include "classic_plan.h"
 
 namespace car::recovery {
 namespace {
@@ -24,8 +25,8 @@ struct Fixture {
     scenario = cluster::inject_random_failure(placement, rng);
     const auto censuses = build_censuses(placement, scenario);
     const auto balanced = balance_greedy(placement, censuses, {50});
-    plan = build_car_plan(placement, code, balanced.solutions, 1 << 20,
-                          scenario.failed_node);
+    plan = oracle::build_car_plan(placement, code, balanced.solutions, 1 << 20,
+                                  scenario.failed_node);
   }
 
   static cluster::Placement make(const cluster::CfsConfig& cfg,

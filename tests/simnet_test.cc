@@ -4,6 +4,7 @@
 
 #include "cluster/configs.h"
 #include "recovery/balancer.h"
+#include "classic_plan.h"
 
 namespace car::simnet {
 namespace {
@@ -230,12 +231,12 @@ TEST_P(EndToEndSim, CarRecoversFasterThanRrOnPaperConfigs) {
   constexpr std::uint64_t kChunk = 4ull << 20;
 
   const auto car = recovery::balance_greedy(placement, censuses, {50});
-  const auto car_plan = recovery::build_car_plan(
+  const auto car_plan = oracle::build_car_plan(
       placement, code, car.solutions, kChunk, scenario.failed_node);
 
   const auto rr = recovery::plan_rr(placement, censuses, rng);
-  const auto rr_plan = recovery::build_rr_plan(placement, code, rr, kChunk,
-                                               scenario.failed_node);
+  const auto rr_plan = oracle::build_rr_plan(placement, code, rr, kChunk,
+                                             scenario.failed_node);
 
   NetConfig net;  // defaults: 1 GbE, 5x oversubscription
   const auto car_time = simulate_plan(placement.topology(), car_plan, net);

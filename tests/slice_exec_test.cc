@@ -16,6 +16,7 @@
 #include "recovery/scheduler.h"
 #include "recovery/slice.h"
 #include "util/buffer_pool.h"
+#include "classic_plan.h"
 
 namespace car {
 namespace {
@@ -63,8 +64,8 @@ Observed run_emul(int cfg_index, std::uint64_t seed, std::uint64_t chunk,
 
   const auto censuses = recovery::build_censuses(placement, scenario);
   const auto balanced = recovery::balance_greedy(placement, censuses, {50});
-  auto plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                       chunk, scenario.failed_node);
+  auto plan = oracle::build_car_plan(placement, code, balanced.solutions,
+                                     chunk, scenario.failed_node);
   if (window > 0) plan = recovery::schedule_windowed(plan, window);
 
   Observed out;

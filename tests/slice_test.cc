@@ -10,6 +10,7 @@
 #include "recovery/scheduler.h"
 #include "recovery/validate.h"
 #include "util/check.h"
+#include "classic_plan.h"
 
 namespace car::recovery {
 namespace {
@@ -40,8 +41,8 @@ struct Fixture {
 
   [[nodiscard]] RecoveryPlan car_plan(std::uint64_t chunk) const {
     const auto balanced = balance_greedy(placement, censuses, {50});
-    return build_car_plan(placement, code, balanced.solutions, chunk,
-                          scenario.failed_node);
+    return oracle::build_car_plan(placement, code, balanced.solutions, chunk,
+                                  scenario.failed_node);
   }
 };
 

@@ -12,12 +12,17 @@
 #include "recovery/random_recovery.h"
 #include "recovery/scheduler.h"
 #include "recovery/weighted.h"
+#include "classic_plan.h"
 
 namespace car::recovery {
 namespace {
 
 using cluster::Placement;
 using cluster::Topology;
+using oracle::build_car_plan;
+using oracle::build_multi_car_plan;
+using oracle::build_multi_rr_plan;
+using oracle::build_rr_plan;
 
 constexpr std::uint64_t kChunk = 1 << 20;
 

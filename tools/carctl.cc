@@ -34,6 +34,7 @@
 #include <fstream>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -61,6 +62,40 @@
 namespace {
 
 using namespace car;
+
+// Chunk-granular plans through the one planner per strategy: single-failure
+// solutions enter as the L = 1 multi-failure case, and the arena is read
+// back as PlanSteps for the step-walking back-ends (simnet, the byte-level
+// executor, the validator).
+recovery::RecoveryPlan car_plan(
+    const cluster::Placement& placement, const rs::Code& code,
+    std::span<const recovery::MultiStripeSolution> solutions,
+    std::uint64_t chunk, cluster::NodeId replacement) {
+  recovery::PlanTemplateCache templates;
+  return recovery::build_multi_car_arena(placement, code, solutions, chunk,
+                                         chunk, replacement, templates)
+      .to_plan();
+}
+
+recovery::RecoveryPlan car_plan(
+    const cluster::Placement& placement, const rs::Code& code,
+    std::span<const recovery::PerStripeSolution> solutions,
+    std::uint64_t chunk, cluster::NodeId replacement) {
+  return car_plan(placement, code, recovery::to_multi(solutions), chunk,
+                  replacement);
+}
+
+recovery::RecoveryPlan rr_plan(const cluster::Placement& placement,
+                               const rs::Code& code,
+                               std::span<const recovery::RrSolution> rr,
+                               std::uint64_t chunk,
+                               cluster::NodeId replacement) {
+  recovery::PlanTemplateCache templates;
+  return recovery::build_multi_rr_arena(placement, code,
+                                        recovery::to_multi(rr), chunk, chunk,
+                                        replacement, templates)
+      .to_plan();
+}
 
 cluster::CfsConfig config_from(const util::Flags& flags) {
   // Uniform datacenter shorthand: --num-racks R --rack-size N describes R
@@ -198,16 +233,15 @@ int cmd_simulate(const util::Flags& flags) {
     const auto rr = recovery::plan_rr(placement, censuses, rng);
     rr_stat.add(simnet::simulate_plan(
                     placement.topology(),
-                    recovery::build_rr_plan(placement, code, rr, chunk,
-                                            scenario.failed_node),
+                    rr_plan(placement, code, rr, chunk, scenario.failed_node),
                     net)
                     .makespan_s /
                 lost);
     const auto car = recovery::balance_greedy(placement, censuses, {50});
     car_stat.add(simnet::simulate_plan(
                      placement.topology(),
-                     recovery::build_car_plan(placement, code, car.solutions,
-                                              chunk, scenario.failed_node),
+                     car_plan(placement, code, car.solutions, chunk,
+                              scenario.failed_node),
                      net)
                      .makespan_s /
                  lost);
@@ -554,13 +588,12 @@ int cmd_emulate(const util::Flags& flags) {
     if (use_car) {
       const auto balanced =
           recovery::balance_greedy(placement, censuses, {50});
-      plan = recovery::build_car_plan(placement, code, balanced.solutions,
-                                      chunk, scenario.failed_node);
+      plan = car_plan(placement, code, balanced.solutions, chunk,
+                      scenario.failed_node);
     } else {
       util::Rng rr_rng(seed + 2);
       const auto rr = recovery::plan_rr(placement, censuses, rr_rng);
-      plan = recovery::build_rr_plan(placement, code, rr, chunk,
-                                     scenario.failed_node);
+      plan = rr_plan(placement, code, rr, chunk, scenario.failed_node);
     }
     if (window > 0) plan = recovery::schedule_windowed(plan, window);
     // --slice-kib > 0 lowers the plan onto a slice grid so cross-rack
@@ -674,8 +707,8 @@ int cmd_validate(const util::Flags& flags) {
     const auto car = recovery::balance_greedy(placement, censuses, {50});
     candidates.push_back(
         {"car",
-         recovery::build_car_plan(placement, code, car.solutions, chunk,
-                                  scenario.failed_node),
+         car_plan(placement, code, car.solutions, chunk,
+                  scenario.failed_node),
          recovery::claimed_cross_rack_chunks(car.solutions,
                                              replacement_rack)});
   }
@@ -686,8 +719,7 @@ int cmd_validate(const util::Flags& flags) {
         recovery::rr_traffic(placement, rr, scenario.failed_rack);
     candidates.push_back(
         {"rr",
-         recovery::build_rr_plan(placement, code, rr, chunk,
-                                 scenario.failed_node),
+         rr_plan(placement, code, rr, chunk, scenario.failed_node),
          summary.total_chunks()});
   }
   if (all || strategy == "weighted") {
@@ -699,8 +731,8 @@ int cmd_validate(const util::Flags& flags) {
         recovery::balance_weighted(placement, censuses, bandwidth);
     candidates.push_back(
         {"weighted",
-         recovery::build_car_plan(placement, code, weighted.solutions, chunk,
-                                  scenario.failed_node),
+         car_plan(placement, code, weighted.solutions, chunk,
+                  scenario.failed_node),
          recovery::claimed_cross_rack_chunks(weighted.solutions,
                                              replacement_rack)});
   }
@@ -713,8 +745,8 @@ int cmd_validate(const util::Flags& flags) {
     const auto balanced = recovery::balance_multi(placement, multi_censuses);
     candidates.push_back(
         {"multi",
-         recovery::build_multi_car_plan(placement, code, balanced.solutions,
-                                        chunk, multi_scenario.replacement),
+         car_plan(placement, code, balanced.solutions, chunk,
+                  multi_scenario.replacement),
          recovery::claimed_cross_rack_chunks(balanced.solutions,
                                              multi_scenario.replacement_rack)});
   }
@@ -854,36 +886,42 @@ int cmd_inject_run(const util::Flags& flags) {
     }
     out << run.log.to_json();
   }
-  if (flags.get_bool("json")) {
+  // --json makes stdout one JSON document; the human summary then goes to
+  // stderr.
+  const bool json = flags.get_bool("json");
+  FILE* const summary = json ? stderr : stdout;
+  if (json) {
     std::printf("{\n  \"replay_digest\": \"%016llx\",\n  \"log\": ",
                 static_cast<unsigned long long>(run.report.replay_digest));
     std::fputs(run.log.to_json().c_str(), stdout);
     std::fputs("}\n", stdout);
   }
 
-  std::printf("scenario %s (%s): failed node %zu%s\n", scenario.name.c_str(),
-              scenario.strategy.c_str(),
-              static_cast<std::size_t>(outcome.failed_node),
-              run.replanned ? ", re-planned after mid-recovery crash" : "");
-  std::printf("  events: %s\n", run.log.summary().c_str());
-  std::printf(
+  std::fprintf(summary, "scenario %s (%s): failed node %zu%s\n",
+               scenario.name.c_str(), scenario.strategy.c_str(),
+               static_cast<std::size_t>(outcome.failed_node),
+               run.replanned ? ", re-planned after mid-recovery crash" : "");
+  std::fprintf(summary, "  events: %s\n", run.log.summary().c_str());
+  std::fprintf(
+      summary,
       "  transfers: %zu attempts (%zu retries, %zu timeouts, %zu drops, "
       "%zu corrupt), wasted wire %s\n",
       run.stats.attempts, run.stats.retries, run.stats.timeouts,
       run.stats.drops, run.stats.corruptions,
       util::format_bytes(run.stats.wasted_wire_bytes).c_str());
-  std::printf("  recovery: wall %.3f s | cross-rack %s | chunks %zu/%zu "
-              "bit-exact\n",
-              run.report.wall_s,
-              util::format_bytes(run.report.cross_rack_bytes).c_str(),
-              outcome.chunks_verified, outcome.chunks_expected);
-  std::printf("  replay digest %016llx\n",
-              static_cast<unsigned long long>(run.report.replay_digest));
+  std::fprintf(summary,
+               "  recovery: wall %.3f s | cross-rack %s | chunks %zu/%zu "
+               "bit-exact\n",
+               run.report.wall_s,
+               util::format_bytes(run.report.cross_rack_bytes).c_str(),
+               outcome.chunks_verified, outcome.chunks_expected);
+  std::fprintf(summary, "  replay digest %016llx\n",
+               static_cast<unsigned long long>(run.report.replay_digest));
 
   const bool ok = outcome.bit_exact && outcome.chunks_expected > 0 &&
                   outcome.initial_validation.ok() &&
                   (!run.replanned || run.replan_validation.ok());
-  std::printf("  result: %s\n", ok ? "OK" : "FAILED");
+  std::fprintf(summary, "  result: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
 
@@ -946,7 +984,11 @@ int cmd_rebuild_run(const util::Flags& flags) {
     }
     out << result.log.to_json();
   }
-  if (flags.get_bool("json")) {
+  // --json makes stdout one JSON document; the human summary then goes to
+  // stderr (carbench parses the text form, which stays on stdout).
+  const bool json = flags.get_bool("json");
+  FILE* const summary = json ? stderr : stdout;
+  if (json) {
     // The event log stays a pure function of (scenario, seed) — host
     // timing lives only in this wrapper, never in the log (CI diffs
     // --log-out files byte-for-byte across runs and shard counts).
@@ -975,41 +1017,47 @@ int cmd_rebuild_run(const util::Flags& flags) {
     if (!failed.empty()) failed += ",";
     failed += std::to_string(node);
   }
-  std::printf("scenario %s (%s): %zu rolling failures [%s] -> replacement "
-              "%zu\n",
-              scenario.name.c_str(), scenario.strategy.c_str(),
-              result.failed_nodes.size(), failed.c_str(),
-              static_cast<std::size_t>(result.replacement));
-  std::printf("  events: %s\n", result.log.summary().c_str());
-  std::printf("  control plane: %zu scans, %zu batches (%zu cancelled, "
-              "%zu stripes re-queued)\n",
-              result.metrics.scans, result.metrics.batches_dispatched,
-              result.metrics.batches_cancelled,
-              result.metrics.stripes_requeued);
-  std::printf("  planning host time: scan %.3f s | plan %.3f s "
-              "(templates: %zu planned, %zu reused)\n",
-              result.metrics.scan_host_s, result.metrics.plan_host_s,
-              result.metrics.template_cache_misses,
-              result.metrics.template_cache_hits);
-  std::printf("  makespan %.3f s | exposure max %.3f s total %.3f s | "
-              "at-risk max %.3f s total %.3f s\n",
-              result.metrics.makespan_s, result.metrics.max_exposure_s,
-              result.metrics.total_exposure_s, result.metrics.max_at_risk_s,
-              result.metrics.total_at_risk_s);
-  std::printf("  traffic: cross-rack %s | intra-rack %s | %zu transfer "
-              "attempts (%zu retries)\n",
-              util::format_bytes(result.report.cross_rack_bytes).c_str(),
-              util::format_bytes(result.report.intra_rack_bytes).c_str(),
-              result.stats.attempts, result.stats.retries);
-  std::printf("  recovery: %zu chunks rebuilt, %zu/%zu bit-exact on %zu "
-              "materialised stripes\n",
-              result.recovered.size(), outcome.chunks_verified,
-              outcome.chunks_expected, outcome.stripes_materialised);
-  std::printf("  replay digest %016llx\n",
-              static_cast<unsigned long long>(result.report.replay_digest));
+  std::fprintf(summary,
+               "scenario %s (%s): %zu rolling failures [%s] -> replacement "
+               "%zu\n",
+               scenario.name.c_str(), scenario.strategy.c_str(),
+               result.failed_nodes.size(), failed.c_str(),
+               static_cast<std::size_t>(result.replacement));
+  std::fprintf(summary, "  events: %s\n", result.log.summary().c_str());
+  std::fprintf(summary,
+               "  control plane: %zu scans, %zu batches (%zu cancelled, "
+               "%zu stripes re-queued)\n",
+               result.metrics.scans, result.metrics.batches_dispatched,
+               result.metrics.batches_cancelled,
+               result.metrics.stripes_requeued);
+  std::fprintf(summary,
+               "  planning host time: scan %.3f s | plan %.3f s "
+               "(templates: %zu planned, %zu reused)\n",
+               result.metrics.scan_host_s, result.metrics.plan_host_s,
+               result.metrics.template_cache_misses,
+               result.metrics.template_cache_hits);
+  std::fprintf(summary,
+               "  makespan %.3f s | exposure max %.3f s total %.3f s | "
+               "at-risk max %.3f s total %.3f s\n",
+               result.metrics.makespan_s, result.metrics.max_exposure_s,
+               result.metrics.total_exposure_s, result.metrics.max_at_risk_s,
+               result.metrics.total_at_risk_s);
+  std::fprintf(summary,
+               "  traffic: cross-rack %s | intra-rack %s | %zu transfer "
+               "attempts (%zu retries)\n",
+               util::format_bytes(result.report.cross_rack_bytes).c_str(),
+               util::format_bytes(result.report.intra_rack_bytes).c_str(),
+               result.stats.attempts, result.stats.retries);
+  std::fprintf(summary,
+               "  recovery: %zu chunks rebuilt, %zu/%zu bit-exact on %zu "
+               "materialised stripes\n",
+               result.recovered.size(), outcome.chunks_verified,
+               outcome.chunks_expected, outcome.stripes_materialised);
+  std::fprintf(summary, "  replay digest %016llx\n",
+               static_cast<unsigned long long>(result.report.replay_digest));
 
   const bool ok = outcome.bit_exact && outcome.chunks_expected > 0;
-  std::printf("  result: %s\n", ok ? "OK" : "FAILED");
+  std::fprintf(summary, "  result: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
 

@@ -22,6 +22,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -226,25 +227,30 @@ struct ScaleSweepRow {
   double classic_lower_s = 0.0;
   double arena_s = 0.0;
   // Replay phase: execute_arena with no sampled stripes — byte
-  // accounting, then the timing replay drained from one calendar queue on
+  // accounting, then the timing replay drained from one binary heap on
   // the calling thread.  Minimum over repetitions.
   double replay_s = 0.0;
-  // The same replay over a std::priority_queue (the heap oracle in
-  // tests/support/heap_replay.h: same accounting, same per-event work),
-  // timed the same way in the same process.
+  // The bare heap oracle (tests/support/heap_replay.h: same accounting,
+  // same per-event work, none of the production loop's checks), timed the
+  // same way in the same process.
   double replay_heap1_s = 0.0;
   // Order-sensitive digest of the replay's committed events.  Every
-  // calendar and oracle run must reproduce it (checked); the baseline
+  // production and oracle run must reproduce it (checked); the baseline
   // pins it.
   std::uint64_t replay_digest = 0;
   double end_to_end_s = 0.0;  // scan + solve + cached build + replay
   std::size_t template_cache_misses = 0;
+  // The same two ratios per repetition, each from one adjacent pair of
+  // runs.  Not gated: they show the spread behind the gated min-of-reps
+  // ratios when a bar fails.
+  std::vector<double> plan_speedup_reps;
+  std::vector<double> replay_speedup_reps;
 
   [[nodiscard]] double plan_speedup() const {
     return arena_s > 0.0 ? (classic_plan_s + classic_lower_s) / arena_s : 0.0;
   }
-  /// Heap-oracle replay over production replay: what the calendar queue
-  /// buys over the best simple alternative.  A within-run host-time ratio,
+  /// Heap-oracle replay over production replay: the production loop's
+  /// overhead against the bare oracle heap.  A within-run host-time ratio,
   /// so machine speed divides out (like plan_speedup).
   [[nodiscard]] double replay_speedup() const {
     return replay_s > 0.0 ? replay_heap1_s / replay_s : 0.0;
@@ -312,22 +318,28 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
   row.classic_lower_s = std::numeric_limits<double>::infinity();
   row.arena_s = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
+    double classic_s = 0.0;
     {
       t = tick();
       const auto classic_plan = oracle::build_multi_car_plan(
           placement, code, balanced.solutions, kChunk, mf.replacement);
-      row.classic_plan_s = std::min(row.classic_plan_s, secs(t, tick()));
+      const double plan_s = secs(t, tick());
+      row.classic_plan_s = std::min(row.classic_plan_s, plan_s);
       t = tick();
       const auto classic_arena =
           recovery::PlanArena::build(classic_plan, kChunk);
-      row.classic_lower_s = std::min(row.classic_lower_s, secs(t, tick()));
+      const double lower_s = secs(t, tick());
+      row.classic_lower_s = std::min(row.classic_lower_s, lower_s);
+      classic_s = plan_s + lower_s;
     }
     arena_opt.reset();
     t = tick();
     arena_opt.emplace(recovery::build_multi_car_arena(
         placement, code, balanced.solutions, kChunk, kChunk, mf.replacement,
         cache));
-    row.arena_s = std::min(row.arena_s, secs(t, tick()));
+    const double arena_s = secs(t, tick());
+    row.arena_s = std::min(row.arena_s, arena_s);
+    row.plan_speedup_reps.push_back(classic_s / arena_s);
   }
   const recovery::PlanArena& arena = *arena_opt;
   row.template_cache_misses = cache.stats().misses;
@@ -366,24 +378,29 @@ ScaleSweepRow measure_scale_point(ScaleSweepRow row) {
   row.replay_heap1_s = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     std::uint64_t oracle_digest = 0;
-    std::uint64_t calendar_digest = 0;
+    std::uint64_t production_digest = 0;
+    double heap1_s = 0.0;
+    double replay_s = 0.0;
     {
       emul::Cluster fresh(cfg.topology(), fig9_emul(1.0));
       t = tick();
       oracle_digest = oracle::heap_replay(fresh, arena).replay_digest;
-      row.replay_heap1_s = std::min(row.replay_heap1_s, secs(t, tick()));
+      heap1_s = secs(t, tick());
     }
     {
       emul::Cluster fresh(cfg.topology(), fig9_emul(1.0));
       t = tick();
-      calendar_digest = fresh.execute_arena(arena, options).replay_digest;
-      row.replay_s = std::min(row.replay_s, secs(t, tick()));
+      production_digest = fresh.execute_arena(arena, options).replay_digest;
+      replay_s = secs(t, tick());
     }
+    row.replay_heap1_s = std::min(row.replay_heap1_s, heap1_s);
+    row.replay_s = std::min(row.replay_s, replay_s);
+    row.replay_speedup_reps.push_back(heap1_s / replay_s);
     if (oracle_digest != row.replay_digest ||
-        calendar_digest != row.replay_digest) {
+        production_digest != row.replay_digest) {
       throw std::runtime_error(
           "micro_recovery: replay runs committed different event sequences "
-          "(calendar vs heap oracle, or sampled vs unsampled)");
+          "(production vs heap oracle, or sampled vs unsampled)");
     }
   }
   row.end_to_end_s = row.scan_s + row.solve_s + row.arena_s + row.replay_s;
@@ -683,6 +700,16 @@ std::string hex64(std::uint64_t value) {
   return buf;
 }
 
+std::string json_array(const std::vector<double>& values) {
+  std::ostringstream os;
+  os << std::setprecision(10) << "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    os << (i > 0 ? ", " : "") << values[i];
+  }
+  os << "]";
+  return os.str();
+}
+
 void write_json(const std::string& path, const std::vector<Fig9Point>& points,
                 const std::vector<ScaleSweepRow>& sweep,
                 const std::vector<RebuildRow>& rebuild_rows,
@@ -732,9 +759,11 @@ void write_json(const std::string& path, const std::vector<Fig9Point>& points,
        << ", \"arena_s\": " << r.arena_s << ", \"replay_s\": " << r.replay_s
        << ", \"replay_heap1_s\": " << r.replay_heap1_s
        << ", \"replay_speedup\": " << r.replay_speedup()
+       << ", \"replay_speedup_reps\": " << json_array(r.replay_speedup_reps)
        << ", \"replay_digest\": \"" << hex64(r.replay_digest) << "\""
        << ", \"end_to_end_s\": " << r.end_to_end_s
        << ", \"plan_speedup\": " << r.plan_speedup()
+       << ", \"plan_speedup_reps\": " << json_array(r.plan_speedup_reps)
        << ", \"template_cache_misses\": " << r.template_cache_misses << "}"
        << (i + 1 < sweep.size() ? "," : "") << "\n";
   }

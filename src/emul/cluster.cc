@@ -12,7 +12,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "emul/calendar_queue.h"
+#include "emul/event_queue.h"
 #include "emul/executor.h"
 #include "recovery/compute.h"
 #include "recovery/scheduler.h"
@@ -62,24 +62,6 @@ std::uint64_t key_of(const BufferRef& ref) {
   return ref.kind == BufferRef::Kind::kChunk
              ? chunk_key(ref.stripe, ref.chunk_index)
              : step_key(ref.step_id);
-}
-
-/// One spin-wait step: pause hints while the wait is young, then yield so a
-/// stalled producer (oversubscribed machine) can run.
-inline void relax_cpu(std::size_t idle) noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  if (idle < 64) {
-    __builtin_ia32_pause();
-    return;
-  }
-#elif defined(__aarch64__)
-  if (idle < 64) {
-    asm volatile("yield");
-    return;
-  }
-#endif
-  (void)idle;
-  std::this_thread::yield();
 }
 
 }  // namespace
@@ -669,18 +651,6 @@ ExecutionReport Cluster::execute(const recovery::SlicePlan& plan) {
 
 ExecutionReport Cluster::execute_arena(const recovery::PlanArena& plan,
                                        const ArenaExecOptions& options) {
-  return execute_arena_impl(plan, options, nullptr);
-}
-
-ExecutionReport Cluster::execute_arena_streaming(
-    const recovery::PlanArena& plan, const ArenaExecOptions& options,
-    ArenaStreamFeed& feed) {
-  return execute_arena_impl(plan, options, &feed);
-}
-
-ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
-                                            const ArenaExecOptions& options,
-                                            ArenaStreamFeed* feed) {
   // A wall-clock pass cannot skip payload movement without changing what it
   // measures, and the sharded payload pass relies on the timing replay for
   // determinism — so the arena path is virtual-clock only.
@@ -690,22 +660,15 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   CAR_CHECK(options.replay_shards == 1,
             "Cluster::execute_arena: replay_shards must be 1 (the timing "
             "replay has one consumer)");
-  const bool streaming = feed != nullptr;
 
   const std::uint64_t n_base = plan.num_base_steps();
   ExecutionReport report;
   report.per_rack_cross_bytes.assign(topology_.num_racks(), 0);
   if (n_base == 0) return report;
-  if (!streaming) {
-    CAR_CHECK(options.shards == 1 || plan.stripe_closed(),
-              "Cluster::execute_arena: sharded execution requires a "
-              "stripe-closed plan (windowed schedules add cross-stripe deps; "
-              "run them with shards == 1)");
-  }
-  // Streaming defers the closure CHECK until the producer finishes: the
-  // flag itself is being written during appends.  The producer contract —
-  // publish whole stripes of a stripe-closed plan only — is re-CHECKed
-  // after the workers join.
+  CAR_CHECK(options.shards == 1 || plan.stripe_closed(),
+            "Cluster::execute_arena: sharded execution requires a "
+            "stripe-closed plan (windowed schedules add cross-stripe deps; "
+            "run them with shards == 1)");
 
   EmulClock& clock = impl_->clock;
   struct GuardScope {
@@ -771,24 +734,7 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
   auto run_shard = [&](std::size_t shard) {
     try {
       ShardTotals& acc = totals[shard];
-      // Barrier mode sees every row up front; streaming chases the
-      // producer's watermark, spinning out the gaps.
-      std::uint64_t limit = streaming ? feed->published() : n_base;
-      std::size_t idle = 0;
       for (std::uint64_t base = 0; base < n_base; ++base) {
-        while (base == limit) {
-          if (failed.load(std::memory_order_acquire)) return;
-          const std::uint64_t published = feed->published();
-          if (published > limit) {
-            limit = published;
-            idle = 0;
-            break;
-          }
-          CAR_CHECK_STATE(!feed->closed() || feed->published() >= n_base,
-                          "Cluster::execute_arena_streaming: producer closed "
-                          "before publishing every base step");
-          relax_cpu(idle++);
-        }
         if (static_cast<std::uint64_t>(plan.stripe(base)) % options.shards !=
             shard) {
           continue;
@@ -871,63 +817,49 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
     }
   };
 
-  // Phase-1 workers.  Barrier mode runs them to completion here; streaming
-  // spawns them and lets them overlap the replay below (payload movement
-  // and the timing replay touch disjoint state — node buffers vs. links).
-  std::vector<std::thread> payload_workers;
-  if (!streaming && options.shards == 1) {
+  // Phase-1 workers, joined before the replay starts: the replay reports
+  // nothing for a run whose payload pass failed.
+  if (options.shards == 1) {
     run_shard(0);
   } else {
+    std::vector<std::thread> payload_workers;
     payload_workers.reserve(options.shards);
     for (std::size_t w = 0; w < options.shards; ++w) {
       payload_workers.emplace_back(run_shard, w);
     }
-  }
-  if (!streaming) {
     for (auto& worker : payload_workers) worker.join();
-    payload_workers.clear();
-    if (error) std::rethrow_exception(error);
   }
+  if (error) std::rethrow_exception(error);
 
   // Phase 2 — deterministic timing replay over the sliced id grid: the
-  // identical (start time, id) min-queue walk execute() runs, driven from
-  // the columns instead of materialised steps, on one calendar queue that
-  // the calling thread drains.
+  // identical (start time, id) min-heap walk execute() runs, driven from
+  // the columns instead of materialised steps, on one binary heap that the
+  // calling thread drains.
   //
   // The pop stream is lexicographically monotone in (time, id): every
   // dependent pushed while processing event (t, id) has start >= finish
   // >= t and — forward deps — a strictly larger base step, hence a larger
-  // sliced id at the same slice.  That monotonicity is what lets the
-  // calendar queue run at O(1) amortised per event, and the drain-frontier
-  // CHECK below enforces it.
-  //
-  // Barrier mode ingests every row up front and drains to empty.
-  // Streaming ingests rows as the producer publishes them and drains only
-  // below the watermark (t_start, published * num_slices): rows publish in
-  // base-id order and no event starts before t_start, so every event of a
-  // row not yet published sorts at or after it.  Once the feed closes the
-  // watermark lifts and the drain runs to empty, committing exactly the
-  // barrier mode's event sequence.
+  // sliced id at the same slice.  The drain-frontier CHECK below enforces
+  // that forward-dependency invariant: an arena whose deps pointed
+  // backwards would replay a dependent behind its producer.
   const std::uint64_t n_sliced = plan.num_sliced_steps();
   std::vector<std::uint32_t> pending(n_sliced, 0);
   std::vector<double> start_at(n_sliced, t_start);
   double end = t_start;
-  CalendarQueue ready(static_cast<std::size_t>(n_sliced));
 
-  // Seed the pending counters of rows [ingested, rows) and queue their
-  // zero-indegree events, in sliced id order.
-  std::uint64_t ingested = 0;
-  auto ingest = [&](std::uint64_t rows) {
-    for (; ingested < rows; ++ingested) {
-      const auto degree =
-          static_cast<std::uint32_t>(plan.deps(ingested).size());
-      for (std::uint64_t s = 0; s < num_slices; ++s) {
-        const std::uint64_t sid = plan.sliced_id(ingested, s);
-        pending[sid] = degree;
-        if (degree == 0) ready.push(t_start, sid);
-      }
+  // Seed the pending counters and heapify the zero-indegree events in one
+  // pass; keys are unique, so the pop order does not depend on how the
+  // heap was built.
+  std::vector<Event> seeds;
+  for (std::uint64_t base = 0; base < n_base; ++base) {
+    const auto degree = static_cast<std::uint32_t>(plan.deps(base).size());
+    for (std::uint64_t s = 0; s < num_slices; ++s) {
+      const std::uint64_t sid = plan.sliced_id(base, s);
+      pending[sid] = degree;
+      if (degree == 0) seeds.push_back({t_start, sid});
     }
-  };
+  }
+  EventQueue ready(std::greater<>{}, std::move(seeds));
 
   // Commit one transfer's link reservations.  Resolves the hop list on the
   // stack (the same links Cluster::path returns, without the per-event
@@ -984,70 +916,22 @@ ExecutionReport Cluster::execute_arena_impl(const recovery::PlanArena& plan,
     for (const std::uint64_t dep_base : plan.dependents(base)) {
       const std::uint64_t did = plan.sliced_id(dep_base, slice);
       start_at[did] = std::max(start_at[did], finish);
-      if (--pending[did] == 0) ready.push(start_at[did], did);
+      if (--pending[did] == 0) ready.push({start_at[did], did});
     }
     return finish;
   };
 
-  auto replay = [&] {
-    // Drain-frontier watchdog: a queue that ever surfaced an event behind
-    // the last one committed (e.g. by misrouting a sub-rung insert) would
-    // silently corrupt the timeline, so fail fast.
-    CalendarQueue::Entry frontier{t_start, 0};
-    std::size_t idle = 0;
-    if (!streaming) ingest(n_base);
-    for (;;) {
-      bool capped = false;
-      CalendarQueue::Entry watermark;
-      if (streaming) {
-        if (failed.load(std::memory_order_acquire)) return;
-        std::uint64_t progress = feed->published();
-        const bool finished = feed->closed();
-        if (finished) progress = feed->published();
-        CAR_CHECK_STATE(!finished || progress >= n_base,
-                        "Cluster::execute_arena_streaming: producer closed "
-                        "before publishing every base step");
-        ingest(progress);
-        capped = !finished;
-        watermark = {t_start, progress * num_slices};
-      }
-      bool drained = false;
-      while (!ready.empty()) {
-        if (capped && !(ready.top() < watermark)) break;
-        const CalendarQueue::Entry event = ready.pop();
-        CAR_CHECK_STATE(!(event < frontier),
-                        "Cluster::execute_arena: timing replay popped an "
-                        "event behind its drain frontier");
-        frontier = event;
-        const double finish = process_event(event.time, event.key);
-        report.replay_digest = fold_replay_event(report.replay_digest,
-                                                 event.time, event.key,
-                                                 finish);
-        drained = true;
-      }
-      if (!capped) return;
-      if (drained) {
-        idle = 0;
-      } else {
-        relax_cpu(idle++);
-      }
-    }
-  };
-
-  // A replay failure must still join the streaming payload workers, so it
-  // reports through the same channel as theirs.
-  try {
-    replay();
-  } catch (...) {
-    record_failure();
-  }
-  for (auto& worker : payload_workers) worker.join();
-  if (error) std::rethrow_exception(error);
-  if (streaming) {
-    CAR_CHECK(plan.stripe_closed(),
-              "Cluster::execute_arena_streaming: streaming execution "
-              "requires a stripe-closed plan (the watermark publishes whole "
-              "stripes; cross-stripe deps would couple them)");
+  Event frontier{t_start, 0};
+  while (!ready.empty()) {
+    const Event event = ready.top();
+    ready.pop();
+    CAR_CHECK_STATE(!(event < frontier),
+                    "Cluster::execute_arena: timing replay popped an event "
+                    "behind its drain frontier");
+    frontier = event;
+    const double finish = process_event(event.time, event.key);
+    report.replay_digest = fold_replay_event(report.replay_digest, event.time,
+                                             event.key, finish);
   }
 
   for (const ShardTotals& acc : totals) {

@@ -17,7 +17,6 @@
 // mid-recovery before escalating to the recovery/multi re-plan.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -100,36 +99,6 @@ struct ArenaExecOptions {
   std::vector<cluster::StripeId> sampled_stripes;
 };
 
-/// Producer-side watermark for Cluster::execute_arena_streaming: the plan
-/// builder appends stripes into a pre-reserved arena and publishes how many
-/// base steps are complete; the executor's payload shards and its replay
-/// consume rows strictly below the watermark while instantiation is still
-/// running.  Single writer (the instantiating thread), many readers.
-class ArenaStreamFeed {
- public:
-  /// Publish that base steps [0, n_base) are fully appended (their columns,
-  /// deps, and reverse deps will not change).  Monotone non-decreasing.
-  void publish(std::uint64_t n_base) noexcept {
-    published_.store(n_base, std::memory_order_release);
-  }
-
-  /// Producer is done: no further publish() calls will follow.  Must be
-  /// called exactly once, after the arena is finalized, or the executor
-  /// spins forever.
-  void close() noexcept { closed_.store(true, std::memory_order_release); }
-
-  [[nodiscard]] std::uint64_t published() const noexcept {
-    return published_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] bool closed() const noexcept {
-    return closed_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<std::uint64_t> published_{0};
-  std::atomic<bool> closed_{false};
-};
-
 /// The replay digest of a replay that committed no event: the FNV-1a-64
 /// offset basis.
 inline constexpr std::uint64_t kReplayDigestBasis = 0xcbf29ce484222325ULL;
@@ -163,7 +132,7 @@ struct ExecutionReport {
   std::vector<std::uint64_t> per_rack_cross_bytes;  // indexed by rack
 
   /// fold_replay_event over every committed event, in commit order: the
-  /// arena timing replay's (Cluster::execute_arena*) and every completed
+  /// arena timing replay's (Cluster::execute_arena) and every completed
   /// step of the fault-aware event loop (rebuild::BatchDriver, keyed by its
   /// event key); kReplayDigestBasis elsewhere.  Two runs with equal digests
   /// replayed the same events in the same order with the same times —
@@ -365,30 +334,7 @@ class Cluster {
   ExecutionReport execute_arena(const recovery::PlanArena& plan,
                                 const ArenaExecOptions& options = {});
 
-  /// Streaming variant of execute_arena: runs concurrently with the plan
-  /// builder.  `plan` must already be reserve()d to its exact final extents
-  /// (so no column ever reallocates); the producer appends stripes,
-  /// publishes its progress through `feed`, finalizes the arena, and calls
-  /// feed.close().  Payload shards process base steps as they are
-  /// published, and the replay drains the t_start event frontier of
-  /// published stripes immediately — everything later than t_start is
-  /// globally ordered after rows still being appended, so it waits for
-  /// close().  Every reported number, the replay digest included, is
-  /// bit-identical to the barrier execute_arena on the finished arena.
-  /// Requires options.metadata_only or an empty plan of real stripes to
-  /// verify against populated chunks exactly like execute_arena; other
-  /// preconditions match execute_arena.
-  ExecutionReport execute_arena_streaming(const recovery::PlanArena& plan,
-                                          const ArenaExecOptions& options,
-                                          ArenaStreamFeed& feed);
-
  private:
-  /// Shared core of execute_arena / execute_arena_streaming; feed == nullptr
-  /// runs the barrier (fully-built-plan) mode.
-  ExecutionReport execute_arena_impl(const recovery::PlanArena& plan,
-                                     const ArenaExecOptions& options,
-                                     ArenaStreamFeed* feed);
-
   struct Impl;
   std::unique_ptr<Impl> impl_;
   cluster::Topology topology_;

@@ -165,7 +165,7 @@ const recovery::SlicePlan& BatchDriver::admit(
 
   const std::size_t slot = batches_.size();
   for (std::size_t id = 0; id < batch.sliced.steps.size(); ++id) {
-    if (batch.indegrees[id] == 0) queue_.push(now_, pack_event(slot, id, 1));
+    if (batch.indegrees[id] == 0) queue_.push({now_, pack_event(slot, id, 1)});
   }
   batches_.push_back(std::move(batch));
   ++inflight_;
@@ -186,7 +186,8 @@ RunOutcome BatchDriver::run_until(std::optional<double> deadline,
       outcome.next_event_t = queue_.top().time;
       return outcome;
     }
-    const emul::CalendarQueue::Entry event = queue_.pop();
+    const emul::Event event = queue_.top();
+    queue_.pop();
     const double t = event.time;
     const auto slot = static_cast<std::size_t>(event.key >> 48);
     const auto id =
@@ -217,7 +218,7 @@ RunOutcome BatchDriver::run_until(std::optional<double> deadline,
     for (const std::size_t dep : batch.dependents[id]) {
       batch.ready_at[dep] = std::max(batch.ready_at[dep], finish);
       if (--batch.indegrees[dep] == 0) {
-        queue_.push(batch.ready_at[dep], pack_event(slot, dep, 1));
+        queue_.push({batch.ready_at[dep], pack_event(slot, dep, 1)});
       }
     }
     if (counted()) {
@@ -280,7 +281,7 @@ std::vector<CancelledBatch> BatchDriver::cancel_all() {
     --inflight_;
     out.push_back(std::move(cancelled));
   }
-  queue_ = emul::CalendarQueue{};
+  queue_ = emul::EventQueue{};
   batches_.clear();  // slots are spent; buffer bases never recycle
   completed_ = 0;
   cluster_.clear_step_outputs();
@@ -504,7 +505,7 @@ std::optional<double> BatchDriver::run_transfer_attempt(
               static_cast<std::int64_t>(step.src), 0,
               "backoff " + format_time(delay) + "s, retry at " +
                   format_time(retry_at) + batch.label);
-  queue_.push(retry_at, pack_event(slot, step.id, attempt + 1));
+  queue_.push({retry_at, pack_event(slot, step.id, attempt + 1)});
   return std::nullopt;
 }
 

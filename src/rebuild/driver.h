@@ -15,8 +15,8 @@
 //
 //   * admit() — enqueue a batch at the current virtual time; its slice
 //     steps interleave with in-flight batches on the (time, batch, step,
-//     attempt) calendar queue (emul/calendar_queue.h), so cross-rack
-//     shipping of one batch overlaps partial decoding of another.
+//     attempt) event heap (emul/event_queue.h), so cross-rack shipping of
+//     one batch overlaps partial decoding of another.
 //   * Step-output isolation — every batch's plans use dense step ids
 //     starting at 0, so step-output buffer refs are biased by a per-batch
 //     base (batch k gets ids k << 32) before touching the cluster; chunk
@@ -48,8 +48,8 @@
 #include <vector>
 
 #include "cluster/types.h"
-#include "emul/calendar_queue.h"
 #include "emul/cluster.h"
+#include "emul/event_queue.h"
 #include "inject/event_log.h"
 #include "inject/fault.h"
 #include "inject/runtime.h"
@@ -170,14 +170,10 @@ class BatchDriver {
   // (ready time, batch slot, step id, 1-based attempt) — ties break on the
   // earliest-admitted batch, then the lowest step id, then attempt, so the
   // pop order is a pure function of the admitted plans.  The three
-  // non-time fields pack into one calendar-queue key as
-  // slot(16) | step(32) | attempt(16), which makes the queue's (time, key)
+  // non-time fields pack into one event key as
+  // slot(16) | step(32) | attempt(16), which makes the heap's (time, key)
   // lexicographic order exactly the tuple order; pack_event CHECKs the
-  // field ranges.  Every push satisfies the queue's monotone-insertion
-  // discipline: dependents are pushed at their latest producer's finish
-  // (no earlier than the event being processed), retries at a later time
-  // (or the same time with a larger attempt), and admissions at now_ with
-  // a strictly larger slot.
+  // field ranges.
   static std::uint64_t pack_event(std::size_t slot, std::size_t id,
                                   std::size_t attempt);
 
@@ -209,7 +205,7 @@ class BatchDriver {
   std::size_t admitted_ = 0;    // lifetime batch count, keys buffer_base
   std::size_t inflight_ = 0;
   std::size_t completed_ = 0;  // slice steps since the last cancel_all
-  emul::CalendarQueue queue_;
+  emul::EventQueue queue_;
   double t0_;
   double now_;
   emul::ExecutionReport report_;

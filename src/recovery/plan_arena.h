@@ -114,13 +114,6 @@ class PlanArena {
   [[nodiscard]] std::uint64_t num_base_steps() const noexcept {
     return static_cast<std::uint64_t>(flags_.size());
   }
-  /// Base steps appended so far.  After reserve(), num_base_steps() is
-  /// already the final extent while this cursor trails the appends — it is
-  /// the streaming build's publish watermark (plan_template.h), and the
-  /// two agree exactly once finalize() has checked the totals.
-  [[nodiscard]] std::uint64_t appended_base_steps() const noexcept {
-    return cur_steps_;
-  }
   [[nodiscard]] std::uint64_t num_sliced_steps() const noexcept {
     return num_base_steps() * num_slices_;
   }

@@ -201,7 +201,7 @@ std::uint64_t skip_mask(const cluster::Placement& placement,
 }
 
 /// Per-stripe instantiation scratch, reused across every stripe of one
-/// stream_multi_*_arena call.
+/// build_multi_*_arena call.
 struct BindingScratch {
   std::vector<std::size_t> survivors;
   std::vector<std::span<const std::uint8_t>> coeffs;
@@ -417,126 +417,60 @@ void release_template_rdeps(PlanTemplate& tmpl) {
 
 namespace {
 
-/// Shared reserve pass: resolve one template per solution (hitting the
-/// warm cache) and size the arena columns to their exact final extents so
-/// appends never reallocate — which is also what lets the streaming
-/// executor attach to the arena before the first stripe lands.
-template <typename Resolve>
-ArenaStreamBuild reserve_arena(const cluster::Placement& placement,
-                               std::size_t num_solutions,
-                               std::uint64_t chunk_size,
-                               std::uint64_t slice_size,
-                               cluster::NodeId replacement,
-                               Resolve&& resolve) {
+/// Shared body of the arena builders.  A reserve pass resolves one
+/// template per solution (hitting the warm cache) and sizes the arena
+/// columns to their exact final extents, so appends never reallocate; the
+/// append pass then instantiates in solution order and drops each
+/// signature's reverse-CSR copy the moment its last stripe is down.
+template <typename Resolve, typename Bind>
+PlanArena build_arena(const cluster::Placement& placement,
+                      std::size_t num_solutions, std::uint64_t chunk_size,
+                      std::uint64_t slice_size, cluster::NodeId replacement,
+                      Resolve&& resolve, Bind&& bind) {
   CAR_CHECK_LT(replacement, placement.topology().num_nodes(),
-               "reserve_multi_*_arena: replacement node id out of range");
-  ArenaStreamBuild build;
-  build.arena = PlanArena::create(
+               "build_multi_*_arena: replacement node id out of range");
+  PlanArena arena = PlanArena::create(
       replacement, placement.topology().rack_of(replacement), chunk_size,
       slice_size);
-  build.templates.reserve(num_solutions);
+  std::vector<PlanTemplate*> templates;
+  templates.reserve(num_solutions);
   std::uint64_t steps = 0, deps = 0, inputs = 0, outputs = 0;
   for (std::size_t i = 0; i < num_solutions; ++i) {
     PlanTemplate& tmpl = resolve(i);
-    build.templates.push_back(&tmpl);
+    templates.push_back(&tmpl);
     steps += tmpl.steps.size();
     deps += tmpl.num_deps;
     inputs += tmpl.num_inputs;
     outputs += tmpl.outputs.size();
   }
-  build.arena.reserve(steps, deps, inputs, outputs);
-  return build;
-}
+  arena.reserve(steps, deps, inputs, outputs);
 
-/// Shared append pass: instantiate in solution order, publish the
-/// stripe-closed row watermark after each append, and drop each
-/// signature's reverse-CSR copy the moment its last stripe is down.
-template <typename Bind>
-void stream_arena(ArenaStreamBuild& build, std::size_t num_solutions,
-                  const cluster::Placement& placement, Bind&& bind,
-                  const std::function<void(std::uint64_t)>& publish) {
-  CAR_CHECK(build.templates.size() == num_solutions,
-            "stream_multi_*_arena: the reserve pass saw a different "
-            "solution list");
   std::unordered_map<const PlanTemplate*, std::size_t> last_use;
   last_use.reserve(64);
-  for (std::size_t i = 0; i < build.templates.size(); ++i) {
-    last_use[build.templates[i]] = i;
-  }
+  for (std::size_t i = 0; i < num_solutions; ++i) last_use[templates[i]] = i;
   for (std::size_t i = 0; i < num_solutions; ++i) {
-    PlanTemplate& tmpl = *build.templates[i];
-    build.arena.append_instantiated(tmpl, bind(i), placement);
+    PlanTemplate& tmpl = *templates[i];
+    arena.append_instantiated(tmpl, bind(i), placement);
     if (last_use.find(&tmpl)->second == i) release_template_rdeps(tmpl);
-    if (publish) publish(build.arena.appended_base_steps());
   }
-  build.arena.finalize();
+  arena.finalize();
+  return arena;
 }
 
 }  // namespace
-
-ArenaStreamBuild reserve_multi_car_arena(
-    const cluster::Placement& placement,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    std::uint64_t slice_size, cluster::NodeId replacement,
-    PlanTemplateCache& cache) {
-  return reserve_arena(placement, solutions.size(), chunk_size, slice_size,
-                       replacement,
-                       [&](std::size_t i) -> PlanTemplate& {
-                         return cache.car(solutions[i]);
-                       });
-}
-
-ArenaStreamBuild reserve_multi_rr_arena(
-    const cluster::Placement& placement,
-    std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
-    std::uint64_t slice_size, cluster::NodeId replacement,
-    PlanTemplateCache& cache) {
-  return reserve_arena(
-      placement, solutions.size(), chunk_size, slice_size, replacement,
-      [&](std::size_t i) -> PlanTemplate& {
-        return cache.rr(solutions[i].lost_chunks.size(),
-                        solutions[i].chunk_indices.size(),
-                        skip_mask(placement, solutions[i], replacement));
-      });
-}
-
-void stream_multi_car_arena(
-    ArenaStreamBuild& build, const cluster::Placement& placement,
-    const rs::Code& code, std::span<const MultiStripeSolution> solutions,
-    PlanTemplateCache& cache,
-    const std::function<void(std::uint64_t)>& publish) {
-  BindingScratch scratch;
-  stream_arena(build, solutions.size(), placement,
-               [&](std::size_t i) {
-                 return scratch.bind_car(code, solutions[i],
-                                         cache.repair_memo());
-               },
-               publish);
-}
-
-void stream_multi_rr_arena(
-    ArenaStreamBuild& build, const cluster::Placement& placement,
-    const rs::Code& code, std::span<const MultiRrSolution> solutions,
-    PlanTemplateCache& cache,
-    const std::function<void(std::uint64_t)>& publish) {
-  BindingScratch scratch;
-  stream_arena(build, solutions.size(), placement,
-               [&](std::size_t i) {
-                 return scratch.bind_rr(code, solutions[i],
-                                        cache.repair_memo());
-               },
-               publish);
-}
 
 PlanArena build_multi_car_arena(
     const cluster::Placement& placement, const rs::Code& code,
     std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
     std::uint64_t slice_size, cluster::NodeId replacement,
     PlanTemplateCache& cache) {
-  ArenaStreamBuild build = reserve_multi_car_arena(
-      placement, solutions, chunk_size, slice_size, replacement, cache);
-  stream_multi_car_arena(build, placement, code, solutions, cache, {});
-  return std::move(build.arena);
+  BindingScratch scratch;
+  return build_arena(
+      placement, solutions.size(), chunk_size, slice_size, replacement,
+      [&](std::size_t i) -> PlanTemplate& { return cache.car(solutions[i]); },
+      [&](std::size_t i) {
+        return scratch.bind_car(code, solutions[i], cache.repair_memo());
+      });
 }
 
 PlanArena build_multi_rr_arena(
@@ -544,10 +478,17 @@ PlanArena build_multi_rr_arena(
     std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
     std::uint64_t slice_size, cluster::NodeId replacement,
     PlanTemplateCache& cache) {
-  ArenaStreamBuild build = reserve_multi_rr_arena(
-      placement, solutions, chunk_size, slice_size, replacement, cache);
-  stream_multi_rr_arena(build, placement, code, solutions, cache, {});
-  return std::move(build.arena);
+  BindingScratch scratch;
+  return build_arena(
+      placement, solutions.size(), chunk_size, slice_size, replacement,
+      [&](std::size_t i) -> PlanTemplate& {
+        return cache.rr(solutions[i].lost_chunks.size(),
+                        solutions[i].chunk_indices.size(),
+                        skip_mask(placement, solutions[i], replacement));
+      },
+      [&](std::size_t i) {
+        return scratch.bind_rr(code, solutions[i], cache.repair_memo());
+      });
 }
 
 }  // namespace car::recovery

@@ -34,13 +34,13 @@
 // (PlanArena::append_instantiated, the only instantiation there is).
 //
 // This is the one planning entry point per strategy: build_multi_car_arena
-// and build_multi_rr_arena, plus their two-phase streaming form.  Single
-// failures enter as the L = 1 case (recovery::to_multi), and callers that
-// need chunk-granular PlanSteps — validation, the flow simulator, the
-// byte-level executor, the rebuild control plane — read the arena back
-// through PlanArena::to_plan().  Hand-written per-stripe reference builders
-// are test oracles (tests/support/classic_plan.h); the differential suite
-// proves every plan equal to theirs, step for step.
+// and build_multi_rr_arena.  Single failures enter as the L = 1 case
+// (recovery::to_multi), and callers that need chunk-granular PlanSteps —
+// validation, the flow simulator, the byte-level executor, the rebuild
+// control plane — read the arena back through PlanArena::to_plan().
+// Hand-written per-stripe reference builders are test oracles
+// (tests/support/classic_plan.h); the differential suite proves every plan
+// equal to theirs, step for step.
 //
 // When must a stripe MISS the cache?  Exactly when its signature differs:
 // a different lost-chunk count, a different pick-size profile (e.g.
@@ -195,47 +195,5 @@ PlanArena build_multi_rr_arena(
 /// cache re-seals lazily on the next hit, so cross-build reuse (the
 /// rebuild control plane's warm cache) keeps working.
 void release_template_rdeps(PlanTemplate& tmpl);
-
-/// Two-phase streaming form of the arena builders, for overlapping
-/// lowering with the virtual-clock replay (Cluster::
-/// execute_arena_streaming):
-///
-///   1. reserve_multi_*_arena resolves every solution's template and sizes
-///      the arena columns to their exact final extents — after it returns,
-///      num_base_steps() is final and no column ever reallocates, so the
-///      executor may attach to `arena` before a single stripe lands;
-///   2. stream_multi_*_arena appends in solution order, invoking
-///      `publish(rows)` with the monotone count of fully appended base
-///      steps after each stripe (every published prefix is stripe-closed),
-///      releases each template's reverse-CSR copy after its last use, and
-///      finalizes the arena.
-///
-/// build_multi_*_arena is exactly phase 1 + phase 2 with no publisher, so
-/// the streamed arena is the barrier build's bit for bit.
-struct ArenaStreamBuild {
-  PlanArena arena;
-  /// Cache-owned template per solution, resolved by the reserve pass.
-  std::vector<PlanTemplate*> templates;
-};
-ArenaStreamBuild reserve_multi_car_arena(
-    const cluster::Placement& placement,
-    std::span<const MultiStripeSolution> solutions, std::uint64_t chunk_size,
-    std::uint64_t slice_size, cluster::NodeId replacement,
-    PlanTemplateCache& cache);
-ArenaStreamBuild reserve_multi_rr_arena(
-    const cluster::Placement& placement,
-    std::span<const MultiRrSolution> solutions, std::uint64_t chunk_size,
-    std::uint64_t slice_size, cluster::NodeId replacement,
-    PlanTemplateCache& cache);
-void stream_multi_car_arena(
-    ArenaStreamBuild& build, const cluster::Placement& placement,
-    const rs::Code& code, std::span<const MultiStripeSolution> solutions,
-    PlanTemplateCache& cache,
-    const std::function<void(std::uint64_t)>& publish);
-void stream_multi_rr_arena(
-    ArenaStreamBuild& build, const cluster::Placement& placement,
-    const rs::Code& code, std::span<const MultiRrSolution> solutions,
-    PlanTemplateCache& cache,
-    const std::function<void(std::uint64_t)>& publish);
 
 }  // namespace car::recovery

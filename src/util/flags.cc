@@ -35,55 +35,60 @@ bool Flags::has(const std::string& name) const {
   return values_.contains(name);
 }
 
+const std::string* Flags::find(const std::string& name) const {
+  asked_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 std::string Flags::get(const std::string& name,
                        const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* text = find(name);
+  if (text == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const std::int64_t value = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
+    const std::int64_t value = std::stoll(*text, &pos);
+    if (pos != text->size()) throw std::invalid_argument("trailing");
     return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("Flags: --" + name +
-                                " expects an integer, got '" + it->second +
-                                "'");
+                                " expects an integer, got '" + *text + "'");
   }
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* text = find(name);
+  if (text == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const double value = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("trailing");
+    const double value = std::stod(*text, &pos);
+    if (pos != text->size()) throw std::invalid_argument("trailing");
     return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("Flags: --" + name +
-                                " expects a number, got '" + it->second + "'");
+                                " expects a number, got '" + *text + "'");
   }
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* text = find(name);
+  if (text == nullptr) return fallback;
+  return *text == "true" || *text == "1" || *text == "yes";
 }
 
 std::vector<std::size_t> Flags::get_size_list(
     const std::string& name, const std::vector<std::size_t>& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* text = find(name);
+  if (text == nullptr) return fallback;
   std::vector<std::size_t> out;
   std::string token;
-  for (char ch : it->second + ",") {
+  for (char ch : *text + ",") {
     if (ch == ',') {
       if (token.empty()) continue;
       try {
@@ -91,7 +96,7 @@ std::vector<std::size_t> Flags::get_size_list(
       } catch (const std::exception&) {
         throw std::invalid_argument("Flags: --" + name +
                                     " expects a comma-separated list of "
-                                    "integers, got '" + it->second + "'");
+                                    "integers, got '" + *text + "'");
       }
       token.clear();
     } else {
@@ -99,6 +104,14 @@ std::vector<std::size_t> Flags::get_size_list(
     }
   }
   return out;
+}
+
+void Flags::reject_unread(const std::string& command) const {
+  std::string unread;
+  for (const auto& [name, value] : values_) {
+    if (!asked_.contains(name)) unread += " --" + name;
+  }
+  CAR_CHECK(unread.empty(), command + ": unknown flag(s)" + unread);
 }
 
 }  // namespace car::util

@@ -2,11 +2,16 @@
 //
 // Syntax: `--name value`, `--name=value`, or bare `--switch` (boolean).
 // Positional arguments (no leading --) are collected in order.
+//
+// Every getter records the name it was asked for, so a command that has
+// read all its flags can reject the ones it never asked about
+// (reject_unread) instead of silently ignoring a misspelt or retired flag.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -46,8 +51,17 @@ class Flags {
     return positional_;
   }
 
+  /// Throws util::CheckError naming every parsed flag that no getter has
+  /// been asked for (has() does not count as a read).  `command` prefixes
+  /// the message.
+  void reject_unread(const std::string& command) const;
+
  private:
+  /// Look `name` up and record that it was asked for.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> asked_;
   std::vector<std::string> positional_;
 };
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/check.h"
+
 namespace car::util {
 namespace {
 
@@ -65,6 +69,27 @@ TEST(Flags, SizeListParsing) {
             (std::vector<std::size_t>{4, 3, 3}));
   const auto bad = parse({"--racks", "4,x"});
   EXPECT_THROW(bad.get_size_list("racks", {}), std::invalid_argument);
+}
+
+TEST(Flags, RejectUnreadNamesEveryFlagNoGetterAskedFor) {
+  const auto f = parse({"--shards", "4", "--shard", "4", "--stream"});
+  EXPECT_TRUE(f.has("stream"));  // a presence query is not a read
+  EXPECT_EQ(f.get_int("shards", 1), 4);
+  try {
+    f.reject_unread("carctl emulate");
+    FAIL() << "unread --shard and --stream were accepted";
+  } catch (const CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("carctl emulate"), std::string::npos) << what;
+    EXPECT_NE(what.find("--shard "), std::string::npos) << what;
+    EXPECT_NE(what.find("--stream"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--shards"), std::string::npos) << what;
+  }
+  // Asking counts even when the getter falls back or the value is unused.
+  (void)f.get_bool("shard");
+  (void)f.get("stream");
+  (void)f.get("absent", "x");
+  EXPECT_NO_THROW(f.reject_unread("carctl emulate"));
 }
 
 TEST(Flags, BareDoubleDashRejected) {

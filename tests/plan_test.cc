@@ -179,9 +179,6 @@ TEST(Plan, ReplacementOutOfRangeRejected) {
   EXPECT_THROW(build_multi_rr_arena(f.placement, f.code, rr, 4096, 4096, bad,
                                     templates),
                std::invalid_argument);
-  EXPECT_THROW(reserve_multi_car_arena(f.placement, solutions, 4096, 4096,
-                                       bad, templates),
-               std::invalid_argument);
 }
 
 TEST(Plan, EmptyRackPickRejected) {

@@ -353,15 +353,13 @@ TEST(Coordinator, RejectsMalformedFailureSchedules) {
   EXPECT_THROW(run_events({{1, 0.0}}, with_crash), util::CheckError);
 }
 
-// Regression for the calendar-queue rewindow gap, at the control-plane
-// level: batch 0's dense work drains, a dropped transfer leaves one lone
-// retry far in the future, run_until's deadline check peeks the queue
-// (rewindowing the rung onto the retry), and the coordinator-style admit()
-// then seeds batch 1 at the paused `now` — BELOW the rewindowed rung
-// start.  Those seeds must execute at ~now, not after the retry; before
-// the bucket_index fix they were misrouted to the overflow rung and the
-// driver's monotone clamp silently stamped batch 1's whole timeline at the
-// retry's far-future time.
+// Admission behind a far-future event, at the control-plane level: batch
+// 0's dense work drains, a dropped transfer leaves one lone retry far in
+// the future, run_until's deadline check peeks the queue, and the
+// coordinator-style admit() then seeds batch 1 at the paused `now`.  Those
+// seeds must execute at ~now, not after the retry.  (A bucketed queue once
+// misrouted them behind the retry, and the driver's monotone clamp then
+// stamped batch 1's whole timeline at the retry's far-future time.)
 TEST(BatchDriver, AdmitAfterDeadlinePauseExecutesBeforeFarFutureRetry) {
   constexpr std::uint64_t kChunk = 8 * 1024;
   const cluster::Topology topology({4, 3, 3});

@@ -1,18 +1,13 @@
-// Replay differentials: the calendar-queue timing replay and the streaming
-// (overlapped build/execute) pipeline are pure performance choices — every
-// observable (makespan, compute time, per-rack byte totals, recovered
-// bytes, and the replay digest that pins the committed event order) must
-// be bit-identical to the binary-heap oracle in tests/support, and the
-// two-phase streamed arena build must be bit-equal to the one-shot barrier
-// build.
+// Replay differentials: the production timing replay and its payload shard
+// count are pure implementation choices — every observable (makespan,
+// compute time, per-rack byte totals, recovered bytes, and the replay
+// digest that pins the committed event order) must be bit-identical to the
+// binary-heap oracle in tests/support, and a template-cached build must be
+// bit-equal to its rebuild from a warm cache.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
-#include <exception>
-#include <memory>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "cluster/configs.h"
@@ -93,56 +88,15 @@ emul::ExecutionReport run_oracle(const Fixture& fx, const PlanArena& arena,
 /// nodes, and execute `arena` under `options`.  Every run starts from an
 /// identical cluster, so any report divergence is the replay's fault.
 emul::ExecutionReport run_barrier(const Fixture& fx, const PlanArena& arena,
-                                  const emul::ArenaExecOptions& options) {
-  emul::Cluster cluster(fx.placement.topology(), emul_config());
+                                  const emul::ArenaExecOptions& options,
+                                  const emul::EmulConfig& config = emul_config(),
+                                  std::uint64_t chunk = kChunk) {
+  emul::Cluster cluster(fx.placement.topology(), config);
   std::vector<cluster::StripeId> all(fx.placement.num_stripes());
   std::iota(all.begin(), all.end(), cluster::StripeId{0});
-  (void)cluster.populate_sampled(fx.placement, fx.code, kChunk, 7, all);
+  (void)cluster.populate_sampled(fx.placement, fx.code, chunk, 7, all);
   for (const auto node : fx.scenario.failed_nodes) cluster.erase_node(node);
   return cluster.execute_arena(arena, options);
-}
-
-/// Same cluster setup, but through the streaming path: reserve the arena,
-/// append stripes on a producer thread that publishes per-stripe
-/// watermarks, and run the executor concurrently against the feed.
-emul::ExecutionReport run_streamed(
-    const Fixture& fx,
-    const std::vector<recovery::MultiStripeSolution>& solutions,
-    const emul::ArenaExecOptions& options, PlanArena* out_arena) {
-  emul::Cluster cluster(fx.placement.topology(), emul_config());
-  std::vector<cluster::StripeId> all(fx.placement.num_stripes());
-  std::iota(all.begin(), all.end(), cluster::StripeId{0});
-  (void)cluster.populate_sampled(fx.placement, fx.code, kChunk, 7, all);
-  for (const auto node : fx.scenario.failed_nodes) cluster.erase_node(node);
-
-  PlanTemplateCache cache;
-  auto build = recovery::reserve_multi_car_arena(
-      fx.placement, solutions, kChunk, 16 * 1024, fx.scenario.replacement,
-      cache);
-  emul::ArenaStreamFeed feed;
-  std::exception_ptr produce_error;
-  std::thread producer([&] {
-    try {
-      recovery::stream_multi_car_arena(
-          build, fx.placement, fx.code, solutions, cache,
-          [&feed](std::uint64_t rows) { feed.publish(rows); });
-    } catch (...) {
-      produce_error = std::current_exception();
-    }
-    feed.close();
-  });
-  emul::ExecutionReport report;
-  try {
-    report = cluster.execute_arena_streaming(build.arena, options, feed);
-  } catch (...) {
-    producer.join();
-    if (produce_error) std::rethrow_exception(produce_error);
-    throw;
-  }
-  producer.join();
-  if (produce_error) std::rethrow_exception(produce_error);
-  if (out_arena != nullptr) *out_arena = std::move(build.arena);
-  return report;
 }
 
 void expect_slice_plans_equal(const PlanArena& a, const PlanArena& b) {
@@ -180,29 +134,51 @@ void expect_slice_plans_equal(const PlanArena& a, const PlanArena& b) {
 
 // --- replay equality -----------------------------------------------------
 
-// Calendar replay vs the binary-heap oracle, across payload shard counts:
-// one timeline and one event order, bit for bit.
+// Production replay vs the binary-heap oracle, across payload shard counts:
+// one timeline and one event order, bit for bit.  Two inputs: a ragged
+// chunk (no slice size divides it) on the default fabric, and an evenly
+// sliced chunk on links so slow that every dependent lands hundreds of
+// thousands of virtual seconds past the start — the skewed event density
+// that once exposed a queue misroute.
 TEST(ReplayEngine, CalendarReplayMatchesHeapOracle) {
-  const auto fx = make_fixture(0, 61, /*stripes=*/24);
-  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  PlanTemplateCache cache;
-  const auto arena = recovery::build_multi_car_arena(
-      fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
-      fx.scenario.replacement, cache);
+  struct Input {
+    const char* name;
+    Fixture fx;
+    std::uint64_t chunk;
+    emul::EmulConfig config;
+  };
+  auto slow = emul_config();
+  slow.node_bps = 0.05;  // one 16 KiB slice ~327,680 virtual seconds
+  slow.virtual_gf_bps = 0.05;
+  Input inputs[] = {
+      {"ragged chunk", make_fixture(0, 61, /*stripes=*/24), kChunk,
+       emul_config()},
+      {"slow links", make_fixture(0, 53, /*stripes=*/16), 48 * 1024, slow},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const auto balanced =
+        recovery::balance_multi(in.fx.placement, in.fx.censuses);
+    PlanTemplateCache cache;
+    const auto arena = recovery::build_multi_car_arena(
+        in.fx.placement, in.fx.code, balanced.solutions, in.chunk, 16 * 1024,
+        in.fx.scenario.replacement, cache);
 
-  const auto reference = run_oracle(fx, arena, emul_config());
-  ASSERT_GT(reference.wall_s, 0.0);
-  ASSERT_NE(reference.replay_digest, emul::kReplayDigestBasis);
-  for (const std::size_t shards : {1u, 2u, 8u}) {
-    emul::ArenaExecOptions options;
-    options.shards = shards;
-    expect_reports_identical(reference, run_barrier(fx, arena, options));
-    ASSERT_FALSE(::testing::Test::HasFailure()) << "shards " << shards;
+    const auto reference = run_oracle(in.fx, arena, in.config);
+    ASSERT_GT(reference.wall_s, 0.0);
+    ASSERT_NE(reference.replay_digest, emul::kReplayDigestBasis);
+    for (const std::size_t shards : {1u, 2u, 8u}) {
+      emul::ArenaExecOptions options;
+      options.shards = shards;
+      expect_reports_identical(
+          reference, run_barrier(in.fx, arena, options, in.config, in.chunk));
+      ASSERT_FALSE(::testing::Test::HasFailure()) << "shards " << shards;
+    }
   }
 }
 
 // The timing replay has one consumer; the surviving replay_shards field
-// rejects anything else in both pipeline modes.
+// rejects anything else.
 TEST(ReplayEngine, ReplayShardsOtherThanOneThrows) {
   const auto fx = make_fixture(0, 61, /*stripes=*/8);
   const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
@@ -216,35 +192,10 @@ TEST(ReplayEngine, ReplayShardsOtherThanOneThrows) {
     options.replay_shards = replay_shards;
     EXPECT_THROW((void)cluster.execute_arena(arena, options),
                  util::CheckError);
-    emul::ArenaStreamFeed feed;
-    EXPECT_THROW((void)cluster.execute_arena_streaming(arena, options, feed),
-                 util::CheckError);
   }
 }
 
-// The streamed pipeline (producer appends while the executor replays) must
-// report the same timeline as the barrier build, and the arena it leaves
-// behind must be bit-equal to the one-shot build.
-TEST(ReplayEngine, StreamedPipelineMatchesBarrierBitExactly) {
-  const auto fx = make_fixture(1, 17, /*stripes=*/30);
-  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  PlanTemplateCache cache;
-  const auto arena = recovery::build_multi_car_arena(
-      fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
-      fx.scenario.replacement, cache);
-
-  emul::ArenaExecOptions options;
-  options.shards = 2;
-  const auto reference = run_barrier(fx, arena, options);
-
-  PlanArena streamed;
-  const auto report =
-      run_streamed(fx, balanced.solutions, options, &streamed);
-  expect_reports_identical(reference, report);
-  expect_slice_plans_equal(arena, streamed);
-}
-
-// Recovered bytes decode bit-exactly through the calendar replay behind a
+// Recovered bytes decode bit-exactly through the timing replay behind a
 // sharded payload pass.
 TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
   const auto fx = make_fixture(0, 29, /*stripes=*/18);
@@ -278,136 +229,6 @@ TEST(ReplayEngine, CalendarShardedReplayDecodesBitExact) {
   }
   EXPECT_EQ(verified, arena.outputs().size());
   EXPECT_GT(verified, 0u);
-}
-
-// Regression for the calendar-queue rewindow gap in the streamed pipeline:
-// with links slow enough that every dependent lands thousands of virtual
-// seconds past t_start — far beyond the initial all-equal-times rung span
-// (64 unit-width buckets) — a replay that drains its published t_start
-// seeds before the feed closes rewindows onto those far-future dependents
-// in the watermark test's top(), and the NEXT ingestion batch then pushes
-// (t_start, sid) seeds BELOW the rewindowed rung start.  Before the
-// bucket_index fix the misroute popped events out of order and diverged
-// from a binary heap; the streamed run must stay bit-identical to the heap
-// oracle, which shares no code with the calendar queue.  The producer is
-// throttled so ingestion batches genuinely interleave with drains instead
-// of arriving in one lump.
-TEST(ReplayEngine, StreamedSlowLinksRewindowGapBitIdentical) {
-  const auto fx = make_fixture(0, 53, /*stripes=*/16);
-  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  PlanTemplateCache cache;
-  // Evenly sliced on purpose (unlike kChunk): every sliced step moves the
-  // same 16 KiB, so the depth-1 dependents a tick schedules all land in a
-  // narrow far-future band.  A ragged remainder slice would drag the
-  // band's minimum down to ~the remainder's duration, making the
-  // rewindowed rung wide enough to swallow the sub-rung gap — and the
-  // misroute this test guards against needs the gap to exceed one bucket.
-  constexpr std::uint64_t kEvenChunk = 48 * 1024;
-  const auto arena = recovery::build_multi_car_arena(
-      fx.placement, fx.code, balanced.solutions, kEvenChunk, 16 * 1024,
-      fx.scenario.replacement, cache);
-
-  // Slow enough that every dependent — transfers and computes alike, one
-  // 16 KiB slice ~327,680 virtual seconds — lands far beyond the 64-unit
-  // rung the all-equal t_start rewindow spans, so the replay queue
-  // genuinely goes rung-empty between ticks.
-  auto slow = emul_config();
-  slow.node_bps = 0.05;
-  slow.virtual_gf_bps = 0.05;
-
-  auto make_cluster = [&] {
-    auto cluster =
-        std::make_unique<emul::Cluster>(fx.placement.topology(), slow);
-    std::vector<cluster::StripeId> all(fx.placement.num_stripes());
-    std::iota(all.begin(), all.end(), cluster::StripeId{0});
-    (void)cluster->populate_sampled(fx.placement, fx.code, kEvenChunk, 7,
-                                    all);
-    for (const auto node : fx.scenario.failed_nodes) {
-      cluster->erase_node(node);
-    }
-    return cluster;
-  };
-
-  const auto reference = run_oracle(fx, arena, slow);
-  ASSERT_GT(reference.wall_s, 0.0);
-
-  // Hand-drive the feed over the fully built arena: publish one stripe per
-  // tick, pausing long enough that the replay provably drains the
-  // published t_start seeds — and the watermark test's top() rewindows onto
-  // the far-future dependents — before the next stripe's seeds land below
-  // the rewindowed rung.  (A real producer builds rows between publishes;
-  // pre-building the arena only makes the watermark more conservative.)
-  std::vector<std::uint64_t> boundaries;  // end base id of each stripe
-  const std::uint64_t n_base = arena.num_base_steps();
-  for (std::uint64_t base = 1; base <= n_base; ++base) {
-    if (base == n_base || arena.stripe(base) != arena.stripe(base - 1)) {
-      boundaries.push_back(base);
-    }
-  }
-  ASSERT_GE(boundaries.size(), 4u);
-  emul::ArenaStreamFeed feed;
-  std::thread producer([&] {
-    for (const std::uint64_t rows : boundaries) {
-      feed.publish(rows);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    feed.close();
-  });
-  emul::ArenaExecOptions options;
-  options.shards = 2;
-  emul::ExecutionReport report;
-  auto cluster = make_cluster();
-  try {
-    report = cluster->execute_arena_streaming(arena, options, feed);
-  } catch (...) {
-    producer.join();
-    throw;
-  }
-  producer.join();
-  expect_reports_identical(reference, report);
-}
-
-// --- streamed build ------------------------------------------------------
-
-// reserve + stream must be the same function as the one-shot barrier build,
-// for both strategies, including the template-rdep release along the way.
-TEST(ReplayEngine, ReserveStreamBuildBitEqualToBarrierBuild) {
-  const auto fx = make_fixture(2, 43, /*stripes=*/40);
-  const auto balanced = recovery::balance_multi(fx.placement, fx.censuses);
-  {
-    PlanTemplateCache barrier_cache;
-    const auto barrier = recovery::build_multi_car_arena(
-        fx.placement, fx.code, balanced.solutions, kChunk, 16 * 1024,
-        fx.scenario.replacement, barrier_cache);
-    PlanTemplateCache stream_cache;
-    auto build = recovery::reserve_multi_car_arena(
-        fx.placement, balanced.solutions, kChunk, 16 * 1024,
-        fx.scenario.replacement, stream_cache);
-    std::uint64_t last_watermark = 0;
-    recovery::stream_multi_car_arena(build, fx.placement, fx.code,
-                                     balanced.solutions, stream_cache,
-                                     [&last_watermark](std::uint64_t rows) {
-                                       EXPECT_GE(rows, last_watermark);
-                                       last_watermark = rows;
-                                     });
-    EXPECT_EQ(last_watermark, build.arena.num_base_steps());
-    expect_slice_plans_equal(barrier, build.arena);
-  }
-  {
-    util::Rng rr_rng(43);
-    const auto rr = recovery::plan_multi_rr(fx.placement, fx.censuses, rr_rng);
-    PlanTemplateCache barrier_cache;
-    const auto barrier = recovery::build_multi_rr_arena(
-        fx.placement, fx.code, rr, kChunk, 16 * 1024,
-        fx.scenario.replacement, barrier_cache);
-    PlanTemplateCache stream_cache;
-    auto build = recovery::reserve_multi_rr_arena(
-        fx.placement, rr, kChunk, 16 * 1024, fx.scenario.replacement,
-        stream_cache);
-    recovery::stream_multi_rr_arena(build, fx.placement, fx.code, rr,
-                                    stream_cache, {});
-    expect_slice_plans_equal(barrier, build.arena);
-  }
 }
 
 // Building twice from one cache exercises the release-then-reseal path:

@@ -1,14 +1,15 @@
 // Reference timing replay for the arena engine.
 //
 // heap_replay re-runs the phase-2 timing replay of Cluster::execute_arena
-// with a std::priority_queue in place of the production calendar queue.
-// The per-event work is the production loop's — the same link
-// reservations through the cluster's links, the same compute charge, the
-// same dependent release — so the two differ only in the queue.  That makes
-// it both the event-order oracle of the replay tests (equal reports and
-// equal replay digests mean the calendar queue popped the exact
-// (time, id) sequence a binary heap pops) and the comparator
-// bench/micro_recovery times the calendar queue against.
+// over a bare std::priority_queue of (time, id) pairs, written
+// independently of the production loop.  The per-event work is the
+// production loop's — the same link reservations through the cluster's
+// links, the same compute charge, the same dependent release — without
+// its payload pass, its drain-frontier CHECK or its shared event type.
+// That makes it both the event-order oracle of the replay tests (equal
+// reports and equal replay digests mean the production replay committed
+// the exact (time, id) sequence) and the comparator bench/micro_recovery
+// times the production loop's overhead against.
 #pragma once
 
 #include "emul/cluster.h"

@@ -37,7 +37,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/configs.h"
@@ -282,12 +281,12 @@ int cmd_emulate_scale(const util::Flags& flags) {
   const std::uint64_t slice_bytes =
       static_cast<std::uint64_t>(flags.get_int("slice-kib", 0)) * util::kKiB;
   const std::string strategy = flags.get("strategy", "car");
-  const bool stream = flags.get_bool("stream", false);
   const rs::Code code(cfg.k, cfg.m);
 
   emul::EmulConfig emul_cfg;
   emul_cfg.node_bps = flags.get_double("node-mbps", 400.0) * 1e6;
   emul_cfg.oversubscription = flags.get_double("oversub", 5.0);
+  flags.reject_unread("carctl emulate");
   // The arena engine replays timing deterministically, which needs the
   // virtual clock; wall-clock pacing is meaningless at this scale anyway.
   emul_cfg.clock_mode = emul::ClockMode::kVirtual;
@@ -332,9 +331,6 @@ int cmd_emulate_scale(const util::Flags& flags) {
     return 0;
   }
 
-  // Solve first in both modes: CAR's load balancing is a global barrier
-  // (Algorithm 2 iterates over every census), so the streamed pipeline
-  // overlaps the phases downstream of it — lowering against replay.
   const std::uint64_t slice =
       slice_bytes > 0 ? slice_bytes : std::max<std::uint64_t>(chunk, 1);
   recovery::PlanTemplateCache cache;
@@ -359,10 +355,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
 
   // Stripes that carry real bytes: the first --sample distinct output
   // stripes under --metadata-only, every stripe otherwise (survivors of
-  // affected stripes must hold bytes for the transfers to read).  Output
-  // stripe order is exactly solution order, so the selection is known
-  // before a single plan row is lowered — which is what lets the streamed
-  // mode seed payloads up front.
+  // affected stripes must hold bytes for the transfers to read).
   std::vector<cluster::StripeId> materialise;
   if (metadata_only) {
     for (std::size_t i = 0; i < num_solutions && materialise.size() < sample;
@@ -383,77 +376,18 @@ int cmd_emulate_scale(const util::Flags& flags) {
   options.metadata_only = metadata_only;
   if (metadata_only) options.sampled_stripes = materialise;
 
-  double lower_s = 0.0;
-  double replay_s = 0.0;
-  recovery::PlanArena arena;
-  emul::ExecutionReport report;
-  if (!stream) {
-    t = phase_clock();
-    arena = strategy == "car"
-                ? recovery::build_multi_car_arena(placement, code,
-                                                  car_solutions, chunk, slice,
-                                                  mf.replacement, cache)
-                : recovery::build_multi_rr_arena(placement, code, rr_solutions,
-                                                 chunk, slice, mf.replacement,
-                                                 cache);
-    lower_s = phase_s(t, phase_clock());
-    t = phase_clock();
-    report = cluster.execute_arena(arena, options);
-    replay_s = phase_s(t, phase_clock());
-  } else {
-    // Streamed pipeline: the reserve pass fixes the arena's extents, then
-    // a producer thread instantiates templates and publishes its
-    // stripe-closed row watermark while the executor replays published
-    // rows concurrently.  lower_s is the producer's host effort (reserve +
-    // append) even though the append overlaps replay wall-clock time.
-    t = phase_clock();
-    recovery::ArenaStreamBuild build =
-        strategy == "car"
-            ? recovery::reserve_multi_car_arena(placement, car_solutions,
-                                                chunk, slice, mf.replacement,
-                                                cache)
-            : recovery::reserve_multi_rr_arena(placement, rr_solutions, chunk,
-                                               slice, mf.replacement, cache);
-    const double reserve_s = phase_s(t, phase_clock());
-    emul::ArenaStreamFeed feed;
-    std::exception_ptr produce_error;
-    double append_s = 0.0;
-    std::thread producer([&] {
-      const auto p0 = phase_clock();
-      try {
-        const auto publish = [&feed](std::uint64_t rows) {
-          feed.publish(rows);
-        };
-        if (strategy == "car") {
-          recovery::stream_multi_car_arena(build, placement, code,
-                                           car_solutions, cache, publish);
-        } else {
-          recovery::stream_multi_rr_arena(build, placement, code,
-                                          rr_solutions, cache, publish);
-        }
-      } catch (...) {
-        produce_error = std::current_exception();
-      }
-      // Close even on error so the executor's ingest loop terminates (its
-      // closed-before-published check turns the early close into a
-      // failure there).
-      feed.close();
-      append_s = phase_s(p0, phase_clock());
-    });
-    t = phase_clock();
-    try {
-      report = cluster.execute_arena_streaming(build.arena, options, feed);
-    } catch (...) {
-      producer.join();
-      if (produce_error) std::rethrow_exception(produce_error);
-      throw;
-    }
-    replay_s = phase_s(t, phase_clock());
-    producer.join();
-    if (produce_error) std::rethrow_exception(produce_error);
-    lower_s = reserve_s + append_s;
-    arena = std::move(build.arena);
-  }
+  t = phase_clock();
+  const recovery::PlanArena arena =
+      strategy == "car"
+          ? recovery::build_multi_car_arena(placement, code, car_solutions,
+                                            chunk, slice, mf.replacement,
+                                            cache)
+          : recovery::build_multi_rr_arena(placement, code, rr_solutions,
+                                           chunk, slice, mf.replacement, cache);
+  const double lower_s = phase_s(t, phase_clock());
+  t = phase_clock();
+  const emul::ExecutionReport report = cluster.execute_arena(arena, options);
+  const double replay_s = phase_s(t, phase_clock());
   const double end_to_end_s = phase_s(pipeline_start, phase_clock());
   const auto outputs = arena.outputs();
 
@@ -493,7 +427,6 @@ int cmd_emulate_scale(const util::Flags& flags) {
         "  \"expected_outputs\": %zu,\n"
         "  \"timing\": {\n"
         "    \"shards\": %zu,\n"
-        "    \"streamed\": %s,\n"
         "    \"scan_s\": %.6f,\n"
         "    \"plan_s\": %.6f,\n"
         "    \"lower_s\": %.6f,\n"
@@ -512,7 +445,7 @@ int cmd_emulate_scale(const util::Flags& flags) {
         report.wall_s,
         static_cast<unsigned long long>(report.cross_rack_bytes),
         static_cast<unsigned long long>(report.replay_digest), verified,
-        expected, shards, stream ? "true" : "false", scan_s, plan_s,
+        expected, shards, scan_s, plan_s,
         lower_s, replay_s, end_to_end_s, host_s,
         static_cast<double>(util::peak_rss_bytes()) /
             static_cast<double>(util::kMiB),
@@ -528,9 +461,9 @@ int cmd_emulate_scale(const util::Flags& flags) {
               censuses.size(),
               static_cast<unsigned long long>(arena.num_base_steps()),
               outputs.size());
-  std::printf("  mode %s | shards %zu%s | sampled stripes %zu\n",
+  std::printf("  mode %s | shards %zu | sampled stripes %zu\n",
               metadata_only ? "metadata-only" : "real-bytes", shards,
-              stream ? " (streamed)" : "", materialise.size());
+              materialise.size());
   std::printf("  timing: scan %.3f s | plan %.3f s | lower %.3f s | replay "
               "%.3f s (templates: %zu planned, %zu reused)\n",
               scan_s, plan_s, lower_s, replay_s, cache.stats().misses,
@@ -572,6 +505,7 @@ int cmd_emulate(const util::Flags& flags) {
   if (flags.get_bool("virtual", false)) {
     emul_cfg.clock_mode = emul::ClockMode::kVirtual;
   }
+  flags.reject_unread("carctl emulate");
 
   auto run = [&](bool use_car) {
     emul::Cluster cluster(cfg.topology(), emul_cfg);
@@ -1073,7 +1007,7 @@ void usage() {
       "  emulate:  --node-mbps M --oversub X --window W --slice-kib S --virtual\n"
       "            scale path (arena engine): --metadata-only --sample N\n"
       "            --shards N --fail-rack --iterations I --strategy car|rr\n"
-      "            --stream --json\n"
+      "            --json\n"
       "  trace:    --failures N\n"
       "  validate: --strategy car|rr|weighted|multi|all --window W\n"
       "            --slice-kib S (also validate the slice lowering)\n"
